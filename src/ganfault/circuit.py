@@ -9,13 +9,22 @@ preserves width but is in general not injective.
 Bit positions are indexed j = 1..N with j = 1 the leftmost bit of the
 string form.  Integer encodings weight bit j by 2**j, so an N-bit vector
 encodes into [0, 2**(N+1) - 2].
+
+Evaluation is compiled.  Every gate reads and writes inside one aligned
+pair, so a circuit of any depth is a product of independent 2-bit maps and
+each output bit is exactly c0 ^ c1 a ^ c2 b ^ c3 ab in its pair's inputs
+a, b (the algebraic normal form).  Running the layers once on the words 0,
+LO, HI and LO|HI (LO holds the low bit of every pair, HI the high bit) reads
+all four truth-table rows of every pair at once.  They give the masks C0,
+SELF, SWAP and AND, which evaluate any input in a few word operations.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable
 
 import numpy as np
@@ -194,27 +203,16 @@ class Layer:
         object.__setattr__(self, "slots", ordered)
 
 
-@dataclass(frozen=True)
-class _LayerPlan:
-    unary_mask: int
-    not_flip_mask: int
-    binary_groups: tuple[tuple[GateKind, int], ...]
-
-
-def _apply_binary_packed(kind: GateKind, a, b, mask):
-    # a and b carry the pair's two input bits aligned at the pair's low
-    # position; complemented gates XOR against the group mask.
-    if kind is GateKind.AND:
-        return a & b
-    if kind is GateKind.OR:
-        return a | b
-    if kind is GateKind.XOR:
-        return a ^ b
-    if kind is GateKind.NAND:
-        return (a & b) ^ mask
-    if kind is GateKind.NOR:
-        return (a | b) ^ mask
-    return (a ^ b) ^ mask  # XNOR
+def _step(v: int, layer: Layer) -> int:
+    """One layer applied to a packed Python int, slot by slot."""
+    out = 0
+    for slot in layer.slots:
+        i = slot.position - 1
+        if slot.kind.arity == 1:
+            out |= _UNARY_TRUTH[slot.kind]((v >> i) & 1) << i
+        else:
+            out |= _BINARY_TRUTH[slot.kind]((v >> i) & 1, (v >> i + 1) & 1) * (3 << i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -260,39 +258,39 @@ class Circuit:
                 )
 
     @cached_property
-    def _plans(self) -> tuple[_LayerPlan, ...]:
-        plans = []
-        for layer in self.layers:
-            unary_mask = 0
-            not_flip = 0
-            groups: dict[GateKind, int] = {}
-            for slot in layer.slots:
-                low = 1 << (slot.position - 1)
-                if slot.kind.arity == 1:
-                    unary_mask |= low
-                    if slot.kind is GateKind.NOT:
-                        not_flip |= low
-                else:
-                    groups[slot.kind] = groups.get(slot.kind, 0) | low
-            plans.append(_LayerPlan(unary_mask, not_flip, tuple(groups.items())))
-        return tuple(plans)
+    def _form(self) -> tuple[int, ...]:
+        """Per-pair ANF masks: (full, C0, SELF, swap down, swap up, AND low)."""
+        full = (1 << self.width) - 1
+        lo = full & 0x5555555555555555
+        hi = full & ~lo
+        y0, ya, yb, yab = (reduce(_step, self.layers, w) for w in (0, lo, hi, lo | hi))
+        da, db = y0 ^ ya, y0 ^ yb
+        and_mask = y0 ^ ya ^ yb ^ yab
+        # A pair's last binary gate leaves (g, g); unary gates only complement.
+        and_low = and_mask & lo
+        assert and_mask == and_low | (and_low << 1)
+        return full, y0, (da & lo) | (db & hi), db & lo, (da & hi) >> 1, and_low
 
     def evaluate_packed(self, value):
         """Evaluate on a packed integer (or numpy uint64 array) of bits.
 
         Works identically for a Python int and for an ndarray of dtype
-        uint64, which is what the sampler's batched rejection loop uses.
+        uint64, which is what the sampler's batched rejection loop uses;
+        ``value`` must fit in ``width`` bits.  Output bit x with partner y
+        is ``C0 ^ (x & SELF) ^ (y & SWAP) ^ (x & y & AND)``, exact for every
+        pair (see the module docstring), so the cost does not grow with
+        depth.  Zero terms are skipped: the identity returns ``value``.
         """
-        v = value
-        for plan in self._plans:
-            out = (v ^ plan.not_flip_mask) & plan.unary_mask
-            for kind, mask in plan.binary_groups:
-                a = v & mask
-                b = (v >> 1) & mask
-                r = _apply_binary_packed(kind, a, b, mask)
-                out = out | r | (r << 1)
-            v = out
-        return v
+        full, c0, keep, down, up, pair_and = self._form
+        terms = [value if keep == full else value & keep] if keep else []
+        if down:
+            terms.append((value >> 1) & down)
+        if up:
+            terms.append((value & up) << 1)
+        if pair_and:  # a & b lands on each low bit; * 3 copies it to the high bit
+            terms.append((value & (value >> 1) & pair_and) * 3)
+        out = reduce(operator.xor, terms) if terms else value & 0
+        return out ^ c0 if c0 else out
 
     def evaluate(self, v: BitVector) -> BitVector:
         if v.width != self.width:

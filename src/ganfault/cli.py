@@ -9,7 +9,9 @@ classifier training).
 Every run writes ``run.json``, an echo of the resolved configuration;
 feeding it back through ``--config`` reproduces all outputs byte-exactly.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
-1 internal error.
+1 internal error.  Unknown ``--config`` keys, ``--workers`` below 1 and
+``--bins`` / ``--canvas`` outside their stated ranges are configuration
+errors.
 """
 
 from __future__ import annotations
@@ -49,6 +51,16 @@ _DEFAULTS = {
     "run": [],
 }
 
+MAX_BINS = 1024  # the dataset histogram holds bins**2 int64 counts
+MAX_CANVAS = 8192
+
+#: Every key a subcommand can write into run.json, hence every key a
+#: ``--config`` document may hold (besides "command").
+_CONFIG_KEYS = frozenset(_DEFAULTS) | {"ckt", "seed", "out"}
+
+#: Inclusive integer ranges checked before any work starts.
+_RANGES = {"workers": (1, None), "bins": (1, MAX_BINS), "canvas": (64, MAX_CANVAS)}
+
 
 def _add_common(p: argparse.ArgumentParser, *, needs_ckt: bool = True) -> None:
     if needs_ckt:
@@ -60,7 +72,8 @@ def _add_common(p: argparse.ArgumentParser, *, needs_ckt: bool = True) -> None:
     p.add_argument("--max-iterations", type=int, dest="max_iterations")
     p.add_argument("--memoize", action="store_true", default=None,
                    help="replay previously accepted inputs per target")
-    p.add_argument("--workers", type=int, help="worker threads (never affects output)")
+    p.add_argument("--workers", type=int,
+                   help="worker threads, at least 1 (never affects output)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON file with defaults for any option")
 
@@ -76,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="one experiment: samples CSV + scatter SVG")
     _add_common(p)
     p.add_argument("--eps", type=float, help="uncertainty level in [0, 1]")
-    p.add_argument("--canvas", type=int, help="scatter canvas size in pixels")
+    p.add_argument("--canvas", type=int,
+                   help=f"scatter canvas size in pixels, 64..{MAX_CANVAS}")
 
     p = sub.add_parser("sweep", help="epsilon grid: sweep CSV + transition JSON")
     _add_common(p)
@@ -96,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset", help="labeled PGM histograms + manifest")
     _add_common(p)
     p.add_argument("--eps", type=float, help="uncertainty level in [0, 1]")
-    p.add_argument("--bins", type=int, help="histogram grid size")
+    p.add_argument("--bins", type=int, help=f"histogram grid size, 1..{MAX_BINS}")
     p.add_argument("--run", action="append",
                    help="LABEL=FAULTSPECS entry; repeatable")
 
@@ -111,11 +125,25 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not isinstance(doc, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         doc.pop("command", None)
+        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        if unknown:
+            raise ValueError(
+                f"config {args.config}: unknown key(s) {', '.join(map(repr, unknown))}"
+            )
         resolved.update(doc)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         resolved[key] = value
+    for key, (low, high) in _RANGES.items():
+        raw = resolved[key]
+        try:
+            value = int(raw)
+        except (TypeError, ValueError):
+            raise ValueError(f"--{key} must be an integer, got {raw!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"--{key} must be {bound}, got {value}")
     return resolved
 
 

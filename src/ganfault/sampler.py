@@ -176,6 +176,8 @@ def _draw_inputs(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
 def _perturb_batch(
     rng: np.random.Generator, values: np.ndarray, width: int, probs: Sequence[float]
 ) -> np.ndarray:
+    if not probs:
+        return values
     weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
     for p in probs:
         draws = rng.random((values.shape[0], width))
@@ -194,23 +196,29 @@ def _chunk_sizes(budget: int):
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
 
 
+def _invariants(cfg: ExperimentConfig) -> tuple[int, tuple[float, ...], str]:
+    """What every trial of one experiment shares: accept radius, flips, label."""
+    k_allow = max_acceptable_distance(cfg.width, cfg.epsilon)
+    return k_allow, perturbations(cfg.faults), cfg.resolved_label()
+
+
 def run_trial(
     cfg: ExperimentConfig,
     faulty: Circuit,
     ideal: Circuit,
     rng: np.random.Generator,
     cache: ModulatorCache | None = None,
+    invariants: tuple[int, tuple[float, ...], str] | None = None,
 ) -> DeviationSample:
     """Run one rejection-sampling trial and return its deviation sample.
 
     Budget exhaustion is a data outcome: the sample of the last examined
     candidate is returned with ``accepted=False`` and the full iteration
-    count.
+    count.  ``invariants`` lets :func:`run_experiment` derive the per-trial
+    constants once; they are computed from ``cfg`` when omitted.
     """
     width = cfg.width
-    k_allow = max_acceptable_distance(width, cfg.epsilon)
-    probs = perturbations(cfg.faults)
-    label = cfg.resolved_label()
+    k_allow, probs, label = invariants or _invariants(cfg)
     budget = cfg.max_iterations
     used = 0
     last_re = 0
@@ -298,18 +306,19 @@ def run_experiment(
     cfg.validate()
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
+    invariants = _invariants(cfg)
 
     if cfg.memoize:
         if cache is None:
             cache = ModulatorCache()
         cache.bind(cfg.cache_key())
         return [
-            run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), cache)
+            run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), cache, invariants)
             for t in range(cfg.trials)
         ]
 
     def one(t: int) -> DeviationSample:
-        return run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), None)
+        return run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), None, invariants)
 
     if workers <= 1 or cfg.trials == 1:
         return [one(t) for t in range(cfg.trials)]

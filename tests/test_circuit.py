@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -18,7 +19,9 @@ from ganfault.circuit import (
     unary_layer,
 )
 
-from conftest import random_circuit
+from ganfault.faults import Missing, ReversedPolarity, Swap, inject
+
+from conftest import random_circuit, random_layer
 
 
 def test_gate_truth_tables():
@@ -158,6 +161,65 @@ def test_batch_matches_scalar_evaluation():
         batch = c.evaluate_batch(np.array(values, dtype=np.uint64))
         for v, got in zip(values, batch):
             assert int(got) == c.evaluate(BitVector(n, v)).value
+
+
+def reference_evaluate(c: Circuit, value: int) -> int:
+    """Walk the layers slot by slot with eval_gate: the test's own oracle."""
+    bits = [(value >> i) & 1 for i in range(c.width)]
+    for layer in c.layers:
+        out = [None] * c.width
+        for slot in layer.slots:
+            i = slot.position - 1
+            if slot.kind.arity == 1:
+                out[i] = eval_gate(slot.kind, bits[i])
+            else:
+                out[i] = out[i + 1] = eval_gate(slot.kind, bits[i], bits[i + 1])
+        bits = out
+    return sum(bit << i for i, bit in enumerate(bits))
+
+
+def _faulted_variants(rng: random.Random, c: Circuit):
+    """The circuit plus one injection of each structural fault kind."""
+    yield c
+    for fault_kind in (Missing, ReversedPolarity, Swap):
+        li = rng.randint(1, len(c.layers))
+        slot = rng.choice(c.layers[li - 1].slots)
+        if fault_kind is Swap:
+            others = [k for k in GateKind
+                      if k.arity == slot.kind.arity and k is not slot.kind]
+            yield inject(c, Swap(li, slot.position, rng.choice(others)))
+        else:
+            yield inject(c, fault_kind(li, slot.position))
+
+
+def test_evaluation_matches_slot_by_slot_oracle():
+    rng = random.Random(2024)
+    depths = itertools.cycle(range(1, 13))
+    for width in list(range(1, 17)) + [31, 32, 63, 64]:
+        full = (1 << width) - 1
+        for depth in itertools.islice(depths, 4):
+            base = Circuit(width, [random_layer(rng, width) for _ in range(depth)])
+            for c in _faulted_variants(rng, base):
+                values = [0, full, 1 << (width - 1)]
+                values += [rng.randrange(1 << width) | (1 << (width - 1))
+                           for _ in range(3)]
+                values += [rng.randrange(1 << width) for _ in range(6)]
+                expected = [reference_evaluate(c, v) for v in values]
+                got = [c.evaluate(BitVector(width, v)).value for v in values]
+                assert got == expected
+                batch = c.evaluate_batch(np.array(values, dtype=np.uint64))
+                assert batch.dtype == np.uint64 and batch.shape == (len(values),)
+                assert [int(x) for x in batch] == expected
+
+
+def test_constant_circuit_batch_keeps_shape():
+    # XOR then XOR outputs 00 and XOR then XNOR outputs 11 whatever the input,
+    # so the compiled form has no input-dependent term at all.
+    values = np.array([0, 1, 2, 3], dtype=np.uint64)
+    for second, expected in ((GateKind.XOR, 0), (GateKind.XNOR, 3)):
+        c = Circuit(2, [pair_layer(GateKind.XOR, 2), pair_layer(second, 2)])
+        batch = c.evaluate_batch(values)
+        assert batch.dtype == np.uint64 and batch.tolist() == [expected] * 4
 
 
 def test_width_64_evaluation():

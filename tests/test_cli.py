@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from ganfault.circuit import Circuit, GateKind, unary_layer
-from ganfault.cli import main
+from ganfault.cli import MAX_BINS, MAX_CANVAS, main
 from ganfault.netlist import serialize_netlist
 
 
@@ -221,3 +221,58 @@ def test_module_entry_point(not4_ckt):
     )
     assert proc.returncode == 0
     assert "AND-XOR vs XOR-AND" in proc.stdout
+
+
+def test_workers_below_one_exits_2(not8_ckt, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([
+        "simulate", "--ckt", str(not8_ckt), "--eps", "0.25", "--trials", "10",
+        "--seed", "1", "--workers", "0", "--out", str(out),
+    ])
+    assert code == 2
+    assert "--workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_bins_above_maximum_exits_2(not8_ckt, tmp_path, capsys):
+    code = main([
+        "dataset", "--ckt", str(not8_ckt), "--eps", "0.25", "--trials", "10",
+        "--seed", "1", "--run", "clean=", "--bins", str(MAX_BINS + 1),
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert f"--bins must be in [1, {MAX_BINS}]" in capsys.readouterr().err
+
+
+def test_canvas_above_maximum_exits_2(not8_ckt, tmp_path, capsys):
+    code = main([
+        "simulate", "--ckt", str(not8_ckt), "--eps", "0.25", "--trials", "10",
+        "--seed", "1", "--canvas", str(MAX_CANVAS + 1), "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert f"--canvas must be in [64, {MAX_CANVAS}]" in capsys.readouterr().err
+
+
+def test_unknown_config_key_exits_2(not8_ckt, tmp_path, capsys):
+    config = tmp_path / "typo.json"
+    config.write_text(json.dumps({"ckt": str(not8_ckt), "seed": 1, "trails": 10}))
+    code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "unknown key(s) 'trails'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--eps", "0.5"],
+    ["sweep", "--grid", "0.5"],
+    ["spectrum", "--eps", "0.5"],
+    ["dataset", "--eps", "0.5", "--run", "clean="],
+    ["table1"],
+])
+def test_every_run_json_replays(argv, not4_ckt, tmp_path):
+    common = [] if argv[0] == "table1" else [
+        "--ckt", str(not4_ckt), "--trials", "20", "--seed", "3",
+    ]
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(argv + common + ["--out", str(first)]) == 0
+    replay = [argv[0], "--config", str(first / "run.json"), "--out", str(second)]
+    assert main(replay) == 0

@@ -45,6 +45,8 @@ def test_max_acceptable_distance():
     assert max_acceptable_distance(8, 0.1) == 0
     assert max_acceptable_distance(4, 0.25) == 1
     assert max_acceptable_distance(8, 1.0) == 8
+    # 29/100 <= 0.29 in floating point, while floor(0.29 * 100) == 28.
+    assert max_acceptable_distance(100, 0.29) == 29
 
 
 def _config(**kwargs) -> ExperimentConfig:
