@@ -42,24 +42,37 @@ def full_scale(width: int) -> int:
     return (1 << (width + 1)) - 2
 
 
+def _least_squares(
+    xs: Sequence[float], ys: Sequence[float], degenerate: str
+) -> tuple[float, float, float, float]:
+    """Ordinary least squares y = slope * x + intercept.
+
+    Returns (slope, intercept, r_squared, ss_res); raises ``ValueError``
+    with the message ``degenerate`` when all x values are equal.
+    """
+    n = len(xs)
+    mean_x = sum(xs) / n
+    mean_y = sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0:
+        raise ValueError(degenerate)
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return slope, intercept, r_squared, ss_res
+
+
 def fit_linear(samples: Sequence[DeviationSample], width: int) -> LinearFit:
     """Least-squares line re = slope * im + intercept over the samples."""
     n = len(samples)
     if n < 2:
         raise ValueError("degenerate abscissa: need at least two samples")
-    re = [s.re for s in samples]
-    im = [s.im for s in samples]
-    mean_im = sum(im) / n
-    mean_re = sum(re) / n
-    sxx = sum((x - mean_im) ** 2 for x in im)
-    if sxx == 0:
-        raise ValueError("degenerate abscissa: all im values equal")
-    sxy = sum((x - mean_im) * (y - mean_re) for x, y in zip(im, re))
-    slope = sxy / sxx
-    intercept = mean_re - slope * mean_im
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(im, re))
-    ss_tot = sum((y - mean_re) ** 2 for y in re)
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    slope, intercept, r_squared, ss_res = _least_squares(
+        [s.im for s in samples], [s.re for s in samples],
+        "degenerate abscissa: all im values equal",
+    )
     rho = math.sqrt(ss_res / n) / full_scale(width)
     return LinearFit(slope, intercept, r_squared, rho)
 
@@ -117,7 +130,6 @@ def summarize_point(
 def run_sweep(
     cfg: ExperimentConfig,
     epsilons: Sequence[float] = DEFAULT_EPSILON_GRID,
-    workers: int = 1,
 ) -> SweepResult:
     """Run one experiment per uncertainty level and summarize each.
 
@@ -126,7 +138,7 @@ def run_sweep(
     """
     points = []
     for eps in epsilons:
-        samples = run_experiment(replace(cfg, epsilon=eps), workers=workers)
+        samples = run_experiment(replace(cfg, epsilon=eps))
         points.append(summarize_point(eps, samples, cfg.width))
     return SweepResult(cfg.width, points)
 
@@ -199,16 +211,9 @@ def fit_iteration_scaling(sweep: SweepResult) -> IterationScalingFit:
     n = len(xs)
     if n < 3:
         raise ValueError(f"underdetermined: {n} usable sweep points, need 3")
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError("underdetermined: all predictor values equal")
-    rate = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
-    intercept = mean_y - rate * mean_x
-    ss_res = sum((y - (rate * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    rate, intercept, r_squared, _ = _least_squares(
+        xs, ys, "underdetermined: all predictor values equal"
+    )
     return IterationScalingFit(rate, math.exp(intercept), r_squared, n)
 
 

@@ -9,9 +9,11 @@ classifier training).
 Every run writes ``run.json``, an echo of the resolved configuration;
 feeding it back through ``--config`` reproduces all outputs byte-exactly.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
-1 internal error.  Unknown ``--config`` keys, ``--workers`` below 1 and
+1 internal error.  Unknown ``--config`` keys, ``--config`` values of
+another type than their flag produces, ``--workers`` below 1 and
 ``--bins`` / ``--canvas`` outside their stated ranges are configuration
-errors.
+errors.  ``--workers`` is accepted so that older run.json files replay;
+it has no effect.
 """
 
 from __future__ import annotations
@@ -54,9 +56,26 @@ _DEFAULTS = {
 MAX_BINS = 1024  # the dataset histogram holds bins**2 int64 counts
 MAX_CANVAS = 8192
 
+# JSON yields exact int, float, str, bool and list objects, so exact type
+# tests also keep true/false out of the integer and number keys.
+_INT = (lambda v: type(v) is int, "an integer")
+_NUMBER = (lambda v: type(v) in (int, float), "a number")
+_STR = (lambda v: type(v) is str, "a string")
+
 #: Every key a subcommand can write into run.json, hence every key a
-#: ``--config`` document may hold (besides "command").
-_CONFIG_KEYS = frozenset(_DEFAULTS) | {"ckt", "seed", "out"}
+#: ``--config`` document may hold (besides "command"), with a test for the
+#: type of value its flag produces.
+_CONFIG_TYPES = {
+    "ckt": _STR, "fault": _STR, "mode": _STR, "out": _STR,
+    "seed": _INT, "trials": _INT, "max_iterations": _INT, "workers": _INT,
+    "min_samples": _INT, "bins": _INT, "canvas": _INT,
+    "eps": _NUMBER, "tau": _NUMBER,
+    "memoize": (lambda v: type(v) is bool, "true or false"),
+    "grid": (lambda v: type(v) is str or type(v) is list and all(map(_NUMBER[0], v)),
+             "a grid string or a list of numbers"),
+    "run": (lambda v: type(v) is list and all(map(_STR[0], v)),
+            "a list of LABEL=FAULTSPECS strings"),
+}
 
 #: Inclusive integer ranges checked before any work starts.
 _RANGES = {"workers": (1, None), "bins": (1, MAX_BINS), "canvas": (64, MAX_CANVAS)}
@@ -73,7 +92,8 @@ def _add_common(p: argparse.ArgumentParser, *, needs_ckt: bool = True) -> None:
     p.add_argument("--memoize", action="store_true", default=None,
                    help="replay previously accepted inputs per target")
     p.add_argument("--workers", type=int,
-                   help="worker threads, at least 1 (never affects output)")
+                   help="accepted (at least 1) so older run.json files replay; "
+                        "has no effect")
     p.add_argument("--out", help="output directory")
     p.add_argument("--config", help="JSON file with defaults for any option")
 
@@ -125,22 +145,24 @@ def _resolve(args: argparse.Namespace) -> dict:
         if not isinstance(doc, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         doc.pop("command", None)
-        unknown = sorted(set(doc) - _CONFIG_KEYS)
+        unknown = sorted(doc.keys() - _CONFIG_TYPES.keys())
         if unknown:
             raise ValueError(
                 f"config {args.config}: unknown key(s) {', '.join(map(repr, unknown))}"
             )
+        for key, value in sorted(doc.items()):
+            valid, kind = _CONFIG_TYPES[key]
+            if not valid(value):
+                raise ValueError(
+                    f"config {args.config}: {key!r} must be {kind}, got {value!r}"
+                )
         resolved.update(doc)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
             continue
         resolved[key] = value
     for key, (low, high) in _RANGES.items():
-        raw = resolved[key]
-        try:
-            value = int(raw)
-        except (TypeError, ValueError):
-            raise ValueError(f"--{key} must be an integer, got {raw!r}") from None
+        value = resolved[key]
         if value < low or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise ValueError(f"--{key} must be {bound}, got {value}")
@@ -168,15 +190,17 @@ def _grid(spec) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
+        if not step > 0:
             raise ValueError("grid step must be positive")
         values = []
-        i = 0
-        while (v := round(start + i * step, 10)) <= stop + 1e-9:
+        while (v := round(start + len(values) * step, 10)) <= stop + 1e-9:
             values.append(v)
-            i += 1
+            if not 0.0 <= v <= 1.0:
+                break  # reported below; an unbounded stop must not loop forever
     else:
         values = [float(v) for v in spec.split(",")]
+    if not values:
+        raise ValueError(f"grid {spec!r} holds no epsilon level")
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"epsilon out of range [0, 1]: {v}")
@@ -188,17 +212,15 @@ def _grid(spec) -> list[float]:
 def _experiment_config(cfg: dict, command: str, epsilon: float) -> ExperimentConfig:
     ckt_path = _require(cfg, "ckt", command)
     circuit = parse_netlist(Path(ckt_path).read_text(encoding="utf-8"))
-    seed = _require(cfg, "seed", command)
-    trials = int(cfg["trials"])
     return ExperimentConfig(
         circuit=circuit,
         epsilon=epsilon,
-        trials=trials,
-        seed=int(seed),
-        faults=parse_fault_list(str(cfg["fault"])),
+        trials=cfg["trials"],
+        seed=_require(cfg, "seed", command),
+        faults=parse_fault_list(cfg["fault"]),
         mode=ComparisonMode(cfg["mode"]),
-        max_iterations=int(cfg["max_iterations"]),
-        memoize=bool(cfg["memoize"]),
+        max_iterations=cfg["max_iterations"],
+        memoize=cfg["memoize"],
     )
 
 
@@ -222,9 +244,9 @@ def cmd_simulate(cfg: dict) -> int:
     exp = _experiment_config(cfg, "simulate", eps)
     out = _out_dir(cfg, "simulate")
     _write_run_json(out, "simulate", cfg)
-    samples = run_experiment(exp, workers=int(cfg["workers"]))
+    samples = run_experiment(exp)
     emit.write_samples_csv(samples, out / "samples.csv")
-    size = int(cfg["canvas"])
+    size = cfg["canvas"]
     svg = emit.render_scatter(samples, exp.width, canvas=(size, size))
     (out / "scatter.svg").write_text(svg, encoding="utf-8")
     accepted = sum(1 for s in samples if s.accepted)
@@ -237,9 +259,9 @@ def cmd_sweep(cfg: dict) -> int:
     exp = _experiment_config(cfg, "sweep", grid[0])
     out = _out_dir(cfg, "sweep")
     _write_run_json(out, "sweep", cfg)
-    sweep = analysis.run_sweep(exp, grid, workers=int(cfg["workers"]))
+    sweep = analysis.run_sweep(exp, grid)
     estimate = analysis.detect_transition(
-        sweep, tau=float(cfg["tau"]), min_samples=int(cfg["min_samples"])
+        sweep, tau=float(cfg["tau"]), min_samples=cfg["min_samples"]
     )
 
     buf = io.StringIO()
@@ -312,7 +334,7 @@ def cmd_spectrum(cfg: dict) -> int:
     exp = _experiment_config(cfg, "spectrum", eps)
     out = _out_dir(cfg, "spectrum")
     _write_run_json(out, "spectrum", cfg)
-    samples = run_experiment(exp, workers=int(cfg["workers"]))
+    samples = run_experiment(exp)
     ensemble = ensemble_from_samples(samples, exp.width)
     if not ensemble:
         raise EmptyResultError("no accepted samples")
@@ -359,14 +381,13 @@ def cmd_dataset(cfg: dict) -> int:
     _write_run_json(out, "dataset", cfg)
     runs = []
     for entry in runs_spec:
-        label, sep, fault_text = str(entry).partition("=")
+        label, sep, fault_text = entry.partition("=")
         if not sep:
             raise ValueError(f"run entry must be LABEL=FAULTSPECS, got {entry!r}")
         runs.append(
             (label, replace(exp, faults=parse_fault_list(fault_text), label=label))
         )
-    manifest = emit.emit_dataset(runs, out, bins=int(cfg["bins"]),
-                                 workers=int(cfg["workers"]))
+    manifest = emit.emit_dataset(runs, out, bins=cfg["bins"])
     print(f"dataset: {len(manifest.entries)} images -> {out}")
     return 0
 

@@ -193,7 +193,6 @@ def emit_dataset(
     runs: Sequence[tuple[str, ExperimentConfig]],
     out_dir,
     bins: int = 64,
-    workers: int = 1,
 ) -> DatasetManifest:
     """Emit one labeled PGM histogram per run plus a JSON manifest.
 
@@ -208,7 +207,7 @@ def emit_dataset(
     entries = []
     images: list[tuple[Path, str]] = []
     for label, cfg in runs:
-        samples = run_experiment(cfg, workers=workers)
+        samples = run_experiment(cfg)
         counts = histogram_counts(samples, cfg.width, bins)
         base = _safe_name(label)
         used_names[base] = used_names.get(base, 0) + 1

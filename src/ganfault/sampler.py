@@ -9,18 +9,20 @@ uncertainty level epsilon of a reference signal.  Two comparison modes:
 * ``TARGET_SEARCH`` - a reference target is drawn once per trial and the
   loop searches for an input whose modulated output approximates it.
 
+Both modes share one candidate loop, and trials run one after the other
+in the calling thread.
+
 Determinism contract: trial t draws from the substream
 ``SeedSequence(entropy=seed, spawn_key=(t,))`` and consumes it in a fixed
 order (target first in TARGET_SEARCH, then candidate chunks of sizes 8,
 64, 512, 4096, 8192, 8192, ...; each chunk draws its inputs, then one
-block of width uniforms per perturbation fault).  Results are therefore
-independent of how trials are partitioned across workers.
+block of width uniforms per perturbation fault).  A trial's result
+therefore depends only on the configuration and its index.
 """
 
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -186,12 +188,16 @@ def _perturb_batch(
     return values
 
 
-def _chunk_sizes(budget: int):
-    size = _CHUNK_FIRST
-    remaining = budget
+def _candidate_batches(
+    rng: np.random.Generator, replay: list[int], budget: int, width: int
+):
+    """Replayed inputs first, then fresh chunks that fill the rest of the budget."""
+    if replay:
+        yield np.array(replay, dtype=np.uint64)
+    size, remaining = _CHUNK_FIRST, budget - len(replay)
     while remaining > 0:
         n = min(size, remaining)
-        yield n
+        yield _draw_inputs(rng, n, width)
         remaining -= n
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
 
@@ -212,6 +218,10 @@ def run_trial(
 ) -> DeviationSample:
     """Run one rejection-sampling trial and return its deviation sample.
 
+    One loop serves both modes; only the reference differs: the drawn
+    target, or ``ideal``'s output on the same inputs.  A ``cache`` is used
+    in TARGET_SEARCH only: its inputs for the target are replayed first.
+
     Budget exhaustion is a data outcome: the sample of the last examined
     candidate is returned with ``accepted=False`` and the full iteration
     count.  ``invariants`` lets :func:`run_experiment` derive the per-trial
@@ -220,75 +230,32 @@ def run_trial(
     width = cfg.width
     k_allow, probs, label = invariants or _invariants(cfg)
     budget = cfg.max_iterations
-    used = 0
-    last_re = 0
-    last_im = 0
-
+    target = None
     if cfg.mode is ComparisonMode.TARGET_SEARCH:
         target = int(_draw_inputs(rng, 1, width)[0])
-        target_u64 = np.uint64(target)
-        last_im = target << 1
+        reference = np.uint64(target)
+    else:
+        cache = None
+    replay = cache.candidates(target)[:budget] if cache is not None else []
 
-        def accept(gs: np.ndarray, modulated: np.ndarray, i: int) -> DeviationSample:
+    used = 0
+    re = im = 0
+    accepted = False
+    for gs in _candidate_batches(rng, replay, budget, width):
+        modulated = faulty.evaluate_batch(_perturb_batch(rng, gs, width, probs))
+        if target is None:
+            reference = ideal.evaluate_batch(gs)
+        hits = np.nonzero(np.bitwise_count(modulated ^ reference) <= k_allow)[0]
+        accepted = hits.size > 0
+        i = int(hits[0]) if accepted else len(gs) - 1
+        used += i + 1
+        re = int(modulated[i]) << 1
+        im = (int(reference[i]) if target is None else target) << 1
+        if accepted:
             if cache is not None:
                 cache.remember(target, int(gs[i]))
-            return DeviationSample(
-                re=int(modulated[i]) << 1,
-                im=target << 1,
-                iterations=used + i + 1,
-                accepted=True,
-                epsilon=cfg.epsilon,
-                label=label,
-            )
-
-        # Replay remembered inputs for this target before any fresh draws.
-        if cache is not None:
-            cands = cache.candidates(target)[:budget]
-            if cands:
-                gs = np.array(cands, dtype=np.uint64)
-                mod_in = _perturb_batch(rng, gs, width, probs)
-                modulated = faulty.evaluate_batch(mod_in)
-                dist = np.bitwise_count(modulated ^ target_u64)
-                hits = np.nonzero(dist <= k_allow)[0]
-                if hits.size:
-                    return accept(gs, modulated, int(hits[0]))
-                used += len(cands)
-                last_re = int(modulated[-1]) << 1
-
-        for n in _chunk_sizes(budget - used):
-            gs = _draw_inputs(rng, n, width)
-            mod_in = _perturb_batch(rng, gs, width, probs)
-            modulated = faulty.evaluate_batch(mod_in)
-            dist = np.bitwise_count(modulated ^ target_u64)
-            hits = np.nonzero(dist <= k_allow)[0]
-            if hits.size:
-                return accept(gs, modulated, int(hits[0]))
-            used += n
-            last_re = int(modulated[-1]) << 1
-        return DeviationSample(last_re, last_im, budget, False, cfg.epsilon, label)
-
-    # FAULT_COMPARE: the reference is the ideal output on the same input.
-    for n in _chunk_sizes(budget):
-        gs = _draw_inputs(rng, n, width)
-        mod_in = _perturb_batch(rng, gs, width, probs)
-        modulated = faulty.evaluate_batch(mod_in)
-        reference = ideal.evaluate_batch(gs)
-        dist = np.bitwise_count(modulated ^ reference)
-        hits = np.nonzero(dist <= k_allow)[0]
-        if hits.size:
-            i = int(hits[0])
-            return DeviationSample(
-                re=int(modulated[i]) << 1,
-                im=int(reference[i]) << 1,
-                iterations=used + i + 1,
-                accepted=True,
-                epsilon=cfg.epsilon,
-                label=label,
-            )
-        used += n
-        last_re = int(modulated[-1]) << 1
-        last_im = int(reference[-1]) << 1
-    return DeviationSample(last_re, last_im, budget, False, cfg.epsilon, label)
+            break
+    return DeviationSample(re, im, used, accepted, cfg.epsilon, label)
 
 
 def run_experiment(
@@ -296,31 +263,23 @@ def run_experiment(
     workers: int = 1,
     cache: ModulatorCache | None = None,
 ) -> list[DeviationSample]:
-    """Run ``cfg.trials`` independent trials and return samples in trial order.
+    """Run ``cfg.trials`` trials in index order and return their samples.
 
-    The result is a pure function of the configuration: per-trial
-    substreams make any worker partitioning produce the identical list.
-    When memoization is on, trials run sequentially so cache updates apply
-    in trial-index order; otherwise ``workers`` threads split the range.
+    Trials run one after the other in the calling thread, so the result is
+    a pure function of the configuration and cache updates apply in trial
+    order.  ``workers`` has no effect; it is kept for existing callers.
     """
     cfg.validate()
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
     invariants = _invariants(cfg)
-
     if cfg.memoize:
         if cache is None:
             cache = ModulatorCache()
         cache.bind(cfg.cache_key())
-        return [
-            run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), cache, invariants)
-            for t in range(cfg.trials)
-        ]
-
-    def one(t: int) -> DeviationSample:
-        return run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), None, invariants)
-
-    if workers <= 1 or cfg.trials == 1:
-        return [one(t) for t in range(cfg.trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, range(cfg.trials), chunksize=64))
+    else:
+        cache = None
+    return [
+        run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), cache, invariants)
+        for t in range(cfg.trials)
+    ]

@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 
@@ -276,3 +277,80 @@ def test_every_run_json_replays(argv, not4_ckt, tmp_path):
     assert main(argv + common + ["--out", str(first)]) == 0
     replay = [argv[0], "--config", str(first / "run.json"), "--out", str(second)]
     assert main(replay) == 0
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("simulate", "trials", None),
+    ("simulate", "eps", [0.1]),
+    ("simulate", "ckt", 5),
+    ("simulate", "memoize", "false"),
+    ("simulate", "seed", 1.5),
+    ("sweep", "grid", 5),
+    ("sweep", "tau", None),
+])
+def test_wrongly_typed_config_value_exits_2(command, key, value, not8_ckt, tmp_path, capsys):
+    config = tmp_path / "typed.json"
+    doc = {"ckt": str(not8_ckt), "seed": 1, "trials": 10, key: value}
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    assert f"{key!r} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["0:inf:0.1", "0:0.5:nan", "nan:0.5:0.1", []])
+def test_grid_without_valid_levels_exits_2(grid, not8_ckt, tmp_path):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"ckt": str(not8_ckt), "seed": 1, "grid": grid}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+def _flag(key, value) -> list[str]:
+    name = "--" + key.replace("_", "-")
+    if key == "memoize" and value is True:
+        return [name]
+    if isinstance(value, list):
+        return [token for item in value for token in (name, str(item))]
+    return [name, str(value)]
+
+
+def test_cli_and_config_fuzz_never_exits_1(not4_ckt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # a fuzzed --out lands under tmp_path
+    rng = random.Random(20261018)
+    junk = [None, "", "x", -1, 0, 1.5, True, [], {}, "nan"]
+    # Every integer is at most 64, so each accepted run takes milliseconds.
+    valid = {
+        "ckt": [str(not4_ckt)],
+        "seed": [0, 7],
+        "trials": [1, 8, 64],
+        "eps": [0.0, 0.25, 1.0],
+        "grid": ["0:0.5:0.25", "0.5", [0.0, 0.5]],
+        "fault": ["", "flip:0.1", "swap:L1.S1:buffer", "missing:L1.S1"],
+        "mode": ["fault-compare", "target-search"],
+        "max_iterations": [1, 64],
+        "memoize": [False, True],
+        "workers": [1, 2],
+        "tau": [0.05, 0.5],
+        "min_samples": [0, 8],
+        "bins": [1, 16],
+        "canvas": [64],
+        "run": [["a="], ["a=flip:0.1", "b=missing:L1.S1"]],
+        "out": ["o"],
+    }
+    commands = ["simulate", "sweep", "spectrum", "dataset", "table1"]
+    codes = []
+    for case in range(300):
+        doc = {key: rng.choice(values) for key, values in valid.items()}
+        argv = [rng.choice(commands)]
+        for key in rng.sample(sorted(valid), rng.randint(1, 3)):
+            value = rng.choice(junk + valid[key])
+            if rng.random() < 0.5:
+                doc[key] = value
+            else:
+                argv += _flag(key, value)
+        config = tmp_path / f"case{case}.json"
+        config.write_text(json.dumps(doc))
+        code = main(argv + ["--config", str(config)])
+        assert code in (0, 2, 3), (argv, doc, capsys.readouterr().err)
+        codes.append(code)
+    assert {0, 2} <= set(codes)

@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 from ganfault.circuit import BitVector, Circuit, GateKind, identity_circuit, pair_layer, unary_layer
+from ganfault import sampler
 from ganfault.faults import InputPerturbation, Missing, Swap
 from ganfault.sampler import (
     ComparisonMode,
@@ -125,6 +126,31 @@ def test_deterministic_across_worker_counts():
     )
     runs = [run_experiment(cfg, workers=w) for w in (1, 4, 8)]
     assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.parametrize("memoize", [False, True])
+def test_run_experiment_looks_up_trial_functions_at_call_time(memoize, monkeypatch):
+    # Span tracing replaces these module globals; a local alias would bypass it.
+    cfg = _config(
+        trials=6, seed=5, mode=ComparisonMode.TARGET_SEARCH, epsilon=0.25, memoize=memoize
+    )
+    expected = run_experiment(cfg)
+    calls, issued = [], {}
+
+    def counting_rng(seed, trial):
+        rng = trial_rng(seed, trial)
+        calls.append(("trial_rng", trial))
+        issued[id(rng)] = trial
+        return rng
+
+    def counting_trial(cfg, faulty, ideal, rng, *rest):
+        calls.append(("run_trial", issued[id(rng)]))
+        return run_trial(cfg, faulty, ideal, rng, *rest)
+
+    monkeypatch.setattr(sampler, "trial_rng", counting_rng)
+    monkeypatch.setattr(sampler, "run_trial", counting_trial)
+    assert run_experiment(cfg) == expected
+    assert calls == [(name, t) for t in range(6) for name in ("trial_rng", "run_trial")]
 
 
 def test_trial_substreams_are_trial_indexed():
