@@ -160,8 +160,8 @@ def detect_transition(
     """Smallest epsilon with rho > tau among sufficiently sampled points."""
     if not sweep.points:
         raise ValueError("sweep is empty")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     for point in sweep.points:
         if point.accepted_count < min_samples or point.rho is None:
             continue

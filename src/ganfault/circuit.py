@@ -16,7 +16,9 @@ each output bit is exactly c0 ^ c1 a ^ c2 b ^ c3 ab in its pair's inputs
 a, b (the algebraic normal form).  Running the layers once on the words 0,
 LO, HI and LO|HI (LO holds the low bit of every pair, HI the high bit) reads
 all four truth-table rows of every pair at once.  They give the masks C0,
-SELF, SWAP and AND, which evaluate any input in a few word operations.
+SELF, SWAP and AND, which evaluate any input in a few word operations, and
+each pair's image, from which :meth:`Circuit.nearest` finds the output
+nearest any target exactly.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterable
 import numpy as np
 
 MAX_WIDTH = 64
+_LO = 0x5555555555555555  # the low bit of every aligned pair
 
 
 class GateKind(enum.Enum):
@@ -258,12 +261,19 @@ class Circuit:
                 )
 
     @cached_property
+    def _rows(self) -> tuple[int, ...]:
+        """Outputs on the words 0, LO, HI and LO|HI: every pair's truth table."""
+        full = (1 << self.width) - 1
+        lo = full & _LO
+        return tuple(reduce(_step, self.layers, w) for w in (0, lo, full & ~lo, full))
+
+    @cached_property
     def _form(self) -> tuple[int, ...]:
         """Per-pair ANF masks: (full, C0, SELF, swap down, swap up, AND low)."""
         full = (1 << self.width) - 1
-        lo = full & 0x5555555555555555
+        lo = full & _LO
         hi = full & ~lo
-        y0, ya, yb, yab = (reduce(_step, self.layers, w) for w in (0, lo, hi, lo | hi))
+        y0, ya, yb, yab = self._rows
         da, db = y0 ^ ya, y0 ^ yb
         and_mask = y0 ^ ya ^ yb ^ yab
         # A pair's last binary gate leaves (g, g); unary gates only complement.
@@ -291,6 +301,49 @@ class Circuit:
             terms.append((value & (value >> 1) & pair_and) * 3)
         out = reduce(operator.xor, terms) if terms else value & 0
         return out ^ c0 if c0 else out
+
+    @cached_property
+    def _nearest_tables(self) -> tuple[list[tuple[int, int]], ...]:
+        """Per output byte: nearest reachable (distance, value) for each target byte.
+
+        A pair can produce exactly the values its four truth-table rows hold,
+        and pairs are independent, so a byte's table combines the tables of
+        its (up to four) pairs.  An odd width ends in a one-bit pair.
+        """
+        tables = []
+        for base in range(0, self.width, 8):
+            table = [(0, 0)]
+            for shift in range(0, min(8, self.width - base), 2):
+                image = {(row >> base + shift) & 3 for row in self._rows}
+                bits = min(2, self.width - base - shift)
+                pair = [min(((t ^ v).bit_count(), v) for v in image)
+                        for t in range(1 << bits)]
+                table = [(d + pd, o | po << shift) for pd, po in pair for d, o in table]
+            tables.append(table)
+        return tuple(tables)
+
+    @cached_property
+    def covering_radius(self) -> int:
+        """Largest distance from any ``width``-bit target to its nearest output.
+
+        0 exactly when the circuit is a bijection; every target lies within
+        this Hamming distance of some output.
+        """
+        return sum(max(d for d, _ in table) for table in self._nearest_tables)
+
+    def nearest(self, target: int) -> tuple[int, int]:
+        """Hamming distance from ``target`` to its nearest output, and that output.
+
+        Exact over all 2**width inputs: each pair independently takes its
+        reachable value nearest the target's two bits, ties going to the
+        smaller value.
+        """
+        distance = output = 0
+        for i, table in enumerate(self._nearest_tables):
+            d, o = table[(target >> 8 * i) & 0xFF]
+            distance += d
+            output |= o << 8 * i
+        return distance, output
 
     def evaluate(self, v: BitVector) -> BitVector:
         if v.width != self.width:

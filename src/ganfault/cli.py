@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +56,7 @@ _DEFAULTS = {
 
 MAX_BINS = 1024  # the dataset histogram holds bins**2 int64 counts
 MAX_CANVAS = 8192
+MAX_GRID_LEVELS = 1001  # a sweep runs one experiment per level
 
 # JSON yields exact int, float, str, bool and list objects, so exact type
 # tests also keep true/false out of the integer and number keys.
@@ -182,6 +184,14 @@ def _epsilon(cfg: dict) -> float:
     return eps
 
 
+def _check_level_count(count) -> None:
+    if count > MAX_GRID_LEVELS:
+        raise ValueError(
+            f"grid holds {count} epsilon levels, more than {MAX_GRID_LEVELS}; "
+            "the finest grid allowed over [0, 1] is 0:1:0.001"
+        )
+
+
 def _grid(spec) -> list[float]:
     if isinstance(spec, (list, tuple)):
         values = [float(v) for v in spec]
@@ -192,15 +202,16 @@ def _grid(spec) -> list[float]:
         start, stop, step = (float(p) for p in parts)
         if not step > 0:
             raise ValueError("grid step must be positive")
+        span = (stop + 1e-9 - start) / step  # the loop yields floor(span) + 1 levels
+        _check_level_count(math.floor(span) + 1 if math.isfinite(span) else span)
         values = []
         while (v := round(start + len(values) * step, 10)) <= stop + 1e-9:
             values.append(v)
-            if not 0.0 <= v <= 1.0:
-                break  # reported below; an unbounded stop must not loop forever
     else:
         values = [float(v) for v in spec.split(",")]
     if not values:
         raise ValueError(f"grid {spec!r} holds no epsilon level")
+    _check_level_count(len(values))
     for v in values:
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"epsilon out of range [0, 1]: {v}")

@@ -12,6 +12,15 @@ uncertainty level epsilon of a reference signal.  Two comparison modes:
 Both modes share one candidate loop, and trials run one after the other
 in the calling thread.
 
+Unreachable targets are skipped.  Every gate acts inside one aligned bit
+pair, inputs are uniform and flip noise keeps them uniform, so a target
+can be accepted exactly when its distance to the nearest output of the
+faulty circuit is within epsilon.  A target farther away is censored
+before any candidate is drawn: its sample reports the full
+``max_iterations`` and, as ``re``, that nearest output.  Circuits whose
+every target is within epsilon of an output (``Circuit.covering_radius``)
+skip the check.
+
 Determinism contract: trial t draws from the substream
 ``SeedSequence(entropy=seed, spawn_key=(t,))`` and consumes it in a fixed
 order (target first in TARGET_SEARCH, then candidate chunks of sizes 8,
@@ -202,10 +211,20 @@ def _candidate_batches(
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
 
 
-def _invariants(cfg: ExperimentConfig) -> tuple[int, tuple[float, ...], str]:
-    """What every trial of one experiment shares: accept radius, flips, label."""
+def _invariants(
+    cfg: ExperimentConfig, faulty: Circuit
+) -> tuple[int, tuple[float, ...], str, bool]:
+    """What every trial of one experiment shares.
+
+    The accept radius, the flip probabilities, the label, and whether a
+    target search must screen its targets: it need not when every target
+    lies within the accept radius of some output of ``faulty``.
+    """
     k_allow = max_acceptable_distance(cfg.width, cfg.epsilon)
-    return k_allow, perturbations(cfg.faults), cfg.resolved_label()
+    screen = (
+        cfg.mode is ComparisonMode.TARGET_SEARCH and faulty.covering_radius > k_allow
+    )
+    return k_allow, perturbations(cfg.faults), cfg.resolved_label(), screen
 
 
 def run_trial(
@@ -214,7 +233,7 @@ def run_trial(
     ideal: Circuit,
     rng: np.random.Generator,
     cache: ModulatorCache | None = None,
-    invariants: tuple[int, tuple[float, ...], str] | None = None,
+    invariants: tuple[int, tuple[float, ...], str, bool] | None = None,
 ) -> DeviationSample:
     """Run one rejection-sampling trial and return its deviation sample.
 
@@ -224,15 +243,24 @@ def run_trial(
 
     Budget exhaustion is a data outcome: the sample of the last examined
     candidate is returned with ``accepted=False`` and the full iteration
-    count.  ``invariants`` lets :func:`run_experiment` derive the per-trial
-    constants once; they are computed from ``cfg`` when omitted.
+    count.  A target that no output of ``faulty`` lies within epsilon of
+    is censored at once, without drawing a candidate: its sample carries
+    the nearest output (:meth:`Circuit.nearest`) as ``re`` and the full
+    iteration count.  ``invariants`` lets :func:`run_experiment` derive the
+    per-trial constants once; they are computed when omitted.
     """
     width = cfg.width
-    k_allow, probs, label = invariants or _invariants(cfg)
+    k_allow, probs, label, screen = invariants or _invariants(cfg, faulty)
     budget = cfg.max_iterations
     target = None
     if cfg.mode is ComparisonMode.TARGET_SEARCH:
         target = int(_draw_inputs(rng, 1, width)[0])
+        if screen:
+            distance, nearest = faulty.nearest(target)
+            if distance > k_allow:
+                return DeviationSample(
+                    nearest << 1, target << 1, budget, False, cfg.epsilon, label
+                )
         reference = np.uint64(target)
     else:
         cache = None
@@ -272,7 +300,7 @@ def run_experiment(
     cfg.validate()
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
-    invariants = _invariants(cfg)
+    invariants = _invariants(cfg, faulty)
     if cfg.memoize:
         if cache is None:
             cache = ModulatorCache()

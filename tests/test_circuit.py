@@ -212,6 +212,32 @@ def test_evaluation_matches_slot_by_slot_oracle():
                 assert [int(x) for x in batch] == expected
 
 
+def test_nearest_matches_brute_force_over_all_inputs():
+    rng = random.Random(4242)
+    for width in range(1, 11):
+        targets = np.arange(1 << width, dtype=np.uint64)
+        for _ in range(3):
+            for c in _faulted_variants(rng, random_circuit(rng, width)):
+                image = np.unique(c.evaluate_batch(targets))
+                reachable = set(image.tolist())
+                xor = targets[:, None] ^ image[None, :]
+                distances = np.bitwise_count(xor).min(axis=1)
+                for t, expected in enumerate(distances.tolist()):
+                    distance, output = c.nearest(t)
+                    assert distance == expected
+                    assert output in reachable and (output ^ t).bit_count() == distance
+                assert c.covering_radius == int(distances.max())
+
+
+def test_nearest_breaks_ties_toward_the_smaller_value():
+    # AND fills its pair with a & b: the outputs are 00 and 11 only, and 01
+    # and 10 lie one bit from both.
+    c = Circuit(2, [pair_layer(GateKind.AND, 2)])
+    assert [c.nearest(t) for t in range(4)] == [(0, 0), (1, 0), (1, 0), (0, 3)]
+    assert c.covering_radius == 1
+    assert identity_circuit(7).covering_radius == 0
+
+
 def test_constant_circuit_batch_keeps_shape():
     # XOR then XOR outputs 00 and XOR then XNOR outputs 11 whatever the input,
     # so the compiled form has no input-dependent term at all.

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from ganfault.circuit import Circuit, GateKind, unary_layer
-from ganfault.cli import MAX_BINS, MAX_CANVAS, main
+from ganfault.cli import MAX_BINS, MAX_CANVAS, MAX_GRID_LEVELS, _grid, main
 from ganfault.netlist import serialize_netlist
 
 
@@ -303,6 +303,40 @@ def test_grid_without_valid_levels_exits_2(grid, not8_ckt, tmp_path):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"ckt": str(not8_ckt), "seed": 1, "grid": grid}))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("grid, count", [
+    ("0:1:1e-6", 1_000_001),
+    ("0:1:1e-9", 1_000_000_002),  # counted, never built
+    ("0:1:0.000999", 1002),
+    (",".join(["0.5"] * 1002), 1002),
+    ([0.5] * 1002, 1002),
+])
+def test_grid_with_too_many_levels_exits_2(grid, count, not8_ckt, tmp_path, capsys):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"ckt": str(not8_ckt), "seed": 1, "grid": grid}))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"grid holds {count} epsilon levels, more than {MAX_GRID_LEVELS}" in (
+        capsys.readouterr().err
+    )
+
+
+def test_finest_allowed_grid():
+    levels = _grid("0:1:0.001")
+    assert len(levels) == MAX_GRID_LEVELS and levels[-1] == 1.0
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tau_exits_2(tau, not4_ckt, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([
+        "sweep", "--ckt", str(not4_ckt), "--grid", "0.5", "--trials", "10",
+        "--seed", "1", "--tau", tau, "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"tau must be positive and finite, got {float(tau)}" in err
+    assert not (out / "transition.json").exists()
 
 
 def _flag(key, value) -> list[str]:

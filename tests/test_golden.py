@@ -1,8 +1,9 @@
 """Byte-identity goldens: artifacts must hash exactly as the reference code did.
 
-The hashes were recorded from the layered (per-gate) evaluator before the
-compiled per-pair form replaced it.  Any change to circuit semantics, RNG
-consumption order or artifact formatting changes at least one of them.
+The first four hashes were recorded from the layered (per-gate) evaluator
+before the compiled per-pair form replaced it.  Any change to circuit
+semantics, RNG consumption order, the censored-sample contract or artifact
+formatting changes at least one of them.
 """
 
 import hashlib
@@ -50,6 +51,17 @@ GOLDENS = {
          "--memoize", "--seed", "2027"],
         "sweep.csv",
         "cf0c8e045ccea564ae62380483fef4e0161057c3c593dfec7fa5cb4fc6e01353",
+    ),
+    # Recorded after unreachable targets began to be skipped: 122 of its 154
+    # censored rows have no preimage within epsilon and carry the nearest
+    # output as re; the other 32 are reachable and keep the last candidate.
+    "andnot16-simulate-target-search": (
+        "andnot16",
+        ["simulate", "--fault", "reverse:L1.S1,flip:0.1", "--mode", "target-search",
+         "--eps", "0.25", "--trials", "300", "--max-iterations", "100",
+         "--seed", "2028"],
+        "samples.csv",
+        "e72f7ebb994d78d306564dc081e4a852197d5d1129635e05893b9a092b66d216",
     ),
 }
 

@@ -6,7 +6,7 @@ import scipy.stats
 
 from ganfault.circuit import BitVector, Circuit, GateKind, identity_circuit, pair_layer, unary_layer
 from ganfault import sampler
-from ganfault.faults import InputPerturbation, Missing, Swap
+from ganfault.faults import InputPerturbation, Missing, ReversedPolarity, Swap, inject_all
 from ganfault.sampler import (
     ComparisonMode,
     DeviationSample,
@@ -175,6 +175,37 @@ def test_budget_exhaustion_is_flagged_not_raised():
     for s in censored:
         assert s.iterations == 3
         assert 0 <= s.re <= 30 and 0 <= s.im <= 30
+
+
+def test_unreachable_targets_are_censored_without_drawing():
+    # AND pairs then NOT, one device reversed: most 8-bit targets have no
+    # preimage, and flip noise keeps the inputs uniform.
+    cfg = _config(
+        circuit=Circuit(8, [pair_layer(GateKind.AND, 8), unary_layer(GateKind.NOT, 8)]),
+        faults=(ReversedPolarity(1, 1), InputPerturbation(0.1)),
+        mode=ComparisonMode.TARGET_SEARCH,
+        epsilon=0.0,
+        trials=200,
+        seed=41,
+        max_iterations=64,
+    )
+    faulty = inject_all(cfg.circuit, cfg.faults)
+    samples = run_experiment(cfg)
+    skipped = 0
+    for t, s in enumerate(samples):
+        distance, nearest = faulty.nearest(s.im >> 1)
+        # The same trial without screening draws every candidate.
+        unscreened = run_trial(
+            cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t), None,
+            (0, (0.1,), s.label, False),
+        )
+        if distance > 0:
+            skipped += 1
+            assert (s.iterations, s.accepted, s.re) == (64, False, nearest << 1)
+            assert not unscreened.accepted and unscreened.iterations == 64
+        else:
+            assert s == unscreened
+    assert 0 < skipped < len(samples)
 
 
 def test_mean_iterations_monotone_in_epsilon():
