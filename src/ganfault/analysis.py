@@ -152,6 +152,13 @@ class TransitionEstimate:
     min_samples: int
 
 
+def check_tau(tau: float) -> float:
+    """Return ``tau`` if it is a usable threshold: positive and finite."""
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+    return tau
+
+
 def detect_transition(
     sweep: SweepResult,
     tau: float = DEFAULT_TAU,
@@ -160,8 +167,7 @@ def detect_transition(
     """Smallest epsilon with rho > tau among sufficiently sampled points."""
     if not sweep.points:
         raise ValueError("sweep is empty")
-    if not 0 < tau < math.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    check_tau(tau)
     for point in sweep.points:
         if point.accepted_count < min_samples or point.rho is None:
             continue

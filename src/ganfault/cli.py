@@ -266,13 +266,14 @@ def cmd_simulate(cfg: dict) -> int:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    tau = analysis.check_tau(float(cfg["tau"]))
     grid = _grid(cfg["grid"])
     exp = _experiment_config(cfg, "sweep", grid[0])
     out = _out_dir(cfg, "sweep")
     _write_run_json(out, "sweep", cfg)
     sweep = analysis.run_sweep(exp, grid)
     estimate = analysis.detect_transition(
-        sweep, tau=float(cfg["tau"]), min_samples=cfg["min_samples"]
+        sweep, tau=tau, min_samples=cfg["min_samples"]
     )
 
     buf = io.StringIO()

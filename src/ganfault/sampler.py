@@ -22,16 +22,21 @@ every target is within epsilon of an output (``Circuit.covering_radius``)
 skip the check.
 
 Determinism contract: trial t draws from the substream
-``SeedSequence(entropy=seed, spawn_key=(t,))`` and consumes it in a fixed
-order (target first in TARGET_SEARCH, then candidate chunks of sizes 8,
-64, 512, 4096, 8192, 8192, ...; each chunk draws its inputs, then one
-block of width uniforms per perturbation fault).  A trial's result
-therefore depends only on the configuration and its index.
+``default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`` and consumes
+it in a fixed order (target first in TARGET_SEARCH, then candidate chunks
+of sizes 8, 64, 512, 4096, 8192, 8192, ...; each chunk draws its inputs,
+then one block of width uniforms per perturbation fault).  A trial's result
+therefore depends only on the configuration and its index.  The seed
+words of that substream are derived exactly as ``SeedSequence`` derives
+them, but for an aligned block of trials at once (:func:`_seed_words`);
+the tests check every word and the first draws against numpy's
+``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,6 +54,18 @@ from .faults import (
 _CHUNK_FIRST = 8
 _CHUNK_GROWTH = 8
 _CHUNK_MAX = 8192
+_FLIP_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+# Trials whose seed words one vectorised pass derives.  A power of two
+# below 2**32, so a block never straddles a multiple of 2**32: only the
+# lowest word of its spawn keys varies.
+_SEED_BLOCK = 1024
+# numpy's SeedSequence (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 class ComparisonMode(enum.Enum):
@@ -171,9 +188,99 @@ class ModulatorCache:
         return sum(len(v) for v in self._store.values())
 
 
+def _uint32_words(n: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first."""
+    if n < 0:
+        raise ValueError(f"expected a non-negative integer, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+@functools.lru_cache(maxsize=2)
+def _seed_words(seed: int, block: int) -> np.ndarray:
+    """PCG64 seed words of every trial in one aligned block of trials.
+
+    Row r holds ``SeedSequence(entropy=seed, spawn_key=(t,))
+    .generate_state(4, np.uint64)`` for trial ``t = block * _SEED_BLOCK + r``.
+    As in ``SeedSequence``, the run entropy is zero-padded to the pool size
+    because a spawn key follows it; the pool is hashed in, mixed, fed any
+    remaining words and hashed out.  Within the block only the spawn key's
+    lowest word varies, so every other word is a one-element array that
+    broadcasts.  The result is read-only: rows are handed out as they are.
+    """
+    spawn = _uint32_words(block * _SEED_BLOCK)
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    entropy = [np.array([w], dtype=np.uint32) for w in run]
+    entropy.append(np.arange(spawn[0], spawn[0] + _SEED_BLOCK, dtype=np.uint32))
+    entropy += [np.array([w], dtype=np.uint32) for w in spawn[1:]]
+
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> 16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(w) for w in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    state = np.empty((_SEED_BLOCK, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> 16)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+@functools.cache
+def _seed_words_type() -> type:
+    """An ``ISeedSequence`` that hands PCG64 one trial's derived seed words.
+
+    Built on first use, because importing ``numpy.random`` adds about a
+    fifth to the time ``import ganfault.cli`` takes; a run pays it at its
+    first trial, as it did when each trial built a ``SeedSequence``.
+    """
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self._words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            assert n_words == 4 and dtype is np.uint64, (n_words, dtype)
+            return self._words
+
+    return SeedWords
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The independent substream assigned to one trial index."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+    """The independent substream assigned to one trial index.
+
+    Its state equals that of
+    ``default_rng(SeedSequence(entropy=seed, spawn_key=(trial,)))``; each
+    call returns a fresh generator.
+    """
+    block, row = divmod(trial, _SEED_BLOCK)
+    words = _seed_words_type()(_seed_words(seed, block)[row])
+    return np.random.Generator(np.random.PCG64(words))
 
 
 def _draw_inputs(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
@@ -189,7 +296,7 @@ def _perturb_batch(
 ) -> np.ndarray:
     if not probs:
         return values
-    weights = (np.uint64(1) << np.arange(width, dtype=np.uint64))
+    weights = _FLIP_WEIGHTS[:width]
     for p in probs:
         draws = rng.random((values.shape[0], width))
         flips = ((draws < p) * weights).sum(axis=1, dtype=np.uint64)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from ganfault import analysis
 from ganfault.circuit import Circuit, GateKind, unary_layer
 from ganfault.cli import MAX_BINS, MAX_CANVAS, MAX_GRID_LEVELS, _grid, main
 from ganfault.netlist import serialize_netlist
@@ -337,6 +338,22 @@ def test_non_finite_or_negative_tau_exits_2(tau, not4_ckt, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"tau must be positive and finite, got {float(tau)}" in err
     assert not (out / "transition.json").exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+def test_bad_tau_exits_2_before_sampling(tau, not4_ckt, tmp_path, monkeypatch, capsys):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(analysis, "run_sweep", no_sampling)
+    out = tmp_path / "o"
+    code = main([
+        "sweep", "--ckt", str(not4_ckt), "--grid", "0.5", "--trials", "10",
+        "--seed", "1", "--tau", tau, "--out", str(out),
+    ])
+    assert code == 2
+    assert "tau must be positive and finite" in capsys.readouterr().err
+    assert not (out / "sweep.csv").exists()
 
 
 def _flag(key, value) -> list[str]:

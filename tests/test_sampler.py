@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -161,6 +162,59 @@ def test_trial_substreams_are_trial_indexed():
     for t in (0, 3, 4):
         again = run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t))
         assert again == samples[t]
+
+
+_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 - 1, 2**128, 2**160 + 9]
+_TRIALS = [0, 1, 1023, 1024, 4097, 2**32 - 1, 2**32, 2**40]
+
+
+def _seed_sequence_rng(seed, trial):
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+
+
+def _assert_same_stream(got, want):
+    assert got.bit_generator.state == want.bit_generator.state
+    assert np.array_equal(got.integers(0, 2**63, 16), want.integers(0, 2**63, 16))
+    assert np.array_equal(got.random(16), want.random(16))
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_trial_rng_matches_seed_sequence(seed):
+    # One-word, two-word and long seeds; trials at block edges, at 2**32
+    # (two spawn-key words) and far beyond.
+    for trial in _TRIALS:
+        _assert_same_stream(trial_rng(seed, trial), _seed_sequence_rng(seed, trial))
+
+
+def test_trial_rng_matches_seed_sequence_on_every_row_of_a_block():
+    for trial in range(2048):
+        assert (
+            trial_rng(9, trial).bit_generator.state
+            == _seed_sequence_rng(9, trial).bit_generator.state
+        ), trial
+
+
+def test_trial_rng_is_right_whatever_order_seeds_and_blocks_come_in():
+    pairs = [(s, t) for s in _SEEDS for t in _TRIALS] * 2
+    random.Random(5).shuffle(pairs)
+    for seed, trial in pairs:
+        assert (
+            trial_rng(seed, trial).bit_generator.state
+            == _seed_sequence_rng(seed, trial).bit_generator.state
+        ), (seed, trial)
+
+
+def test_trial_rng_generators_advance_independently():
+    a, b = trial_rng(3, 7), trial_rng(3, 7)
+    drawn = a.random(32)
+    _assert_same_stream(b, _seed_sequence_rng(3, 7))
+    assert np.array_equal(trial_rng(3, 7).random(32), drawn)
+
+
+@pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1)])
+def test_trial_rng_rejects_negative_seed_or_trial(seed, trial):
+    with pytest.raises(ValueError, match="non-negative"):
+        trial_rng(seed, trial)
 
 
 def test_budget_exhaustion_is_flagged_not_raised():
