@@ -7,14 +7,15 @@ declarative rewrites of single gate slots: a missing device (pass-through),
 a swapped device, a polarity reversal, plus stochastic input bit flips.
 """
 
-import numpy as np
-
 from ganfault import (
     BitVector,
+    ExperimentConfig,
+    InputPerturbation,
+    identity_circuit,
     inject,
     parse_fault,
     parse_netlist,
-    perturb_input,
+    run_experiment,
     serialize_netlist,
 )
 
@@ -52,6 +53,14 @@ for fault in faults:
 assert str(circuit.evaluate(probe)) == "0011"
 
 # Input perturbation is the stochastic mode; each bit flips independently.
-rng = np.random.default_rng(0)
-flips = [perturb_input(probe, 0.25, rng).hamming(probe) for _ in range(10_000)]
+# On an identity circuit, comparing against the fault-free output at
+# epsilon 1.0 accepts every first draw, so re ^ im is exactly the flip mask.
+cfg = ExperimentConfig(
+    circuit=identity_circuit(4),
+    epsilon=1.0,
+    trials=10_000,
+    seed=0,
+    faults=(InputPerturbation(0.25),),
+)
+flips = [((s.re ^ s.im) >> 1).bit_count() for s in run_experiment(cfg)]
 print("\nmean flipped bits at p=0.25 over 4 bits:", sum(flips) / len(flips))

@@ -6,7 +6,7 @@ Random inputs are redrawn until the modulated output approximates a
 reference within the uncertainty level.  For a circuit whose outputs are
 uniform, the iteration count is geometric with mean 2**N divided by the
 Hamming-ball volume, so the cost falls exponentially as the tolerance
-grows, and the memoizing modulator short-circuits repeated targets.
+grows.
 """
 
 from ganfault import (
@@ -33,18 +33,3 @@ for eps in (0.0, 1 / 8, 2 / 8, 3 / 8):
     samples = run_experiment(cfg)
     mean = sum(s.iterations for s in samples) / len(samples)
     print(f"{eps:6.3f} {mean:16.2f} {analytic_mean_iterations(WIDTH, eps):10.2f}")
-
-# The intelligent modulator stores inputs that satisfied each target and
-# replays them first, so repeated targets converge immediately.
-for memoize in (False, True):
-    cfg = ExperimentConfig(
-        circuit=identity_circuit(4),
-        epsilon=0.0,
-        trials=2000,
-        seed=7,
-        mode=ComparisonMode.TARGET_SEARCH,
-        memoize=memoize,
-    )
-    total = sum(s.iterations for s in run_experiment(cfg))
-    tag = "with memoization" if memoize else "without memoization"
-    print(f"\n4-bit search, 2000 trials {tag}: {total} total draws")

@@ -14,7 +14,6 @@ from .circuit import (
     Layer,
     decode_int,
     encode_int,
-    eval_circuit,
     eval_gate,
     identity_circuit,
     pair_layer,
@@ -33,14 +32,12 @@ from .faults import (
     inject_all,
     parse_fault,
     parse_fault_list,
-    perturb_input,
 )
 from .netlist import NetlistError, parse_netlist, serialize_netlist
 from .sampler import (
     ComparisonMode,
     DeviationSample,
     ExperimentConfig,
-    ModulatorCache,
     deviation,
     relative_uncertainty,
     run_experiment,

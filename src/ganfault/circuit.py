@@ -374,11 +374,6 @@ class Circuit:
         return tuple(sorted(names))
 
 
-def eval_circuit(c: Circuit, input_vector: BitVector) -> BitVector:
-    """Functional form of :meth:`Circuit.evaluate`."""
-    return c.evaluate(input_vector)
-
-
 def unary_layer(kind: GateKind, width: int) -> Layer:
     """A layer applying one unary gate to every position."""
     if kind.arity != 1:

@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
 another type than their flag produces, ``--workers`` below 1 and
 ``--bins`` / ``--canvas`` outside their stated ranges are configuration
 errors.  ``--workers`` is accepted so that older run.json files replay;
-it has no effect.
+it has no effect.  Older run.json files may also hold ``"memoize"``, the
+key of a removed input-replay option: ``false`` is accepted and dropped,
+``true`` is a configuration error.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ _DEFAULTS = {
     "trials": 1000,
     "mode": "fault-compare",
     "max_iterations": 1_000_000,
-    "memoize": False,
     "workers": 1,
     "tau": analysis.DEFAULT_TAU,
     "min_samples": analysis.DEFAULT_MIN_SAMPLES,
@@ -66,7 +67,8 @@ _STR = (lambda v: type(v) is str, "a string")
 
 #: Every key a subcommand can write into run.json, hence every key a
 #: ``--config`` document may hold (besides "command"), with a test for the
-#: type of value its flag produces.
+#: type of value its flag produces.  "memoize" is no longer written; it is
+#: kept so that older run.json files replay.
 _CONFIG_TYPES = {
     "ckt": _STR, "fault": _STR, "mode": _STR, "out": _STR,
     "seed": _INT, "trials": _INT, "max_iterations": _INT, "workers": _INT,
@@ -91,8 +93,6 @@ def _add_common(p: argparse.ArgumentParser, *, needs_ckt: bool = True) -> None:
     p.add_argument("--seed", type=int, help="base RNG seed (required)")
     p.add_argument("--mode", choices=["fault-compare", "target-search"])
     p.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p.add_argument("--memoize", action="store_true", default=None,
-                   help="replay previously accepted inputs per target")
     p.add_argument("--workers", type=int,
                    help="accepted (at least 1) so older run.json files replay; "
                         "has no effect")
@@ -158,6 +158,11 @@ def _resolve(args: argparse.Namespace) -> dict:
                 raise ValueError(
                     f"config {args.config}: {key!r} must be {kind}, got {value!r}"
                 )
+        if doc.pop("memoize", False):
+            raise ValueError(
+                f"config {args.config}: 'memoize' was removed; every trial now "
+                "draws fresh inputs, so only \"memoize\": false replays"
+            )
         resolved.update(doc)
     for key, value in vars(args).items():
         if key in ("command", "config") or value is None:
@@ -231,7 +236,6 @@ def _experiment_config(cfg: dict, command: str, epsilon: float) -> ExperimentCon
         faults=parse_fault_list(cfg["fault"]),
         mode=ComparisonMode(cfg["mode"]),
         max_iterations=cfg["max_iterations"],
-        memoize=cfg["memoize"],
     )
 
 

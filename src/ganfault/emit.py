@@ -196,22 +196,26 @@ def emit_dataset(
 ) -> DatasetManifest:
     """Emit one labeled PGM histogram per run plus a JSON manifest.
 
-    Duplicate labels get numeric suffixes.  The manifest is written only
-    after every image succeeded.
+    A file name already taken gets the lowest free numeric suffix, so two
+    runs never share a file.  The manifest is written only after every
+    image succeeded.
     """
     if not runs:
         raise ValueError("need at least one labeled run")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    used_names: dict[str, int] = {}
+    used_names: set[str] = set()
     entries = []
     images: list[tuple[Path, str]] = []
     for label, cfg in runs:
         samples = run_experiment(cfg)
         counts = histogram_counts(samples, cfg.width, bins)
-        base = _safe_name(label)
-        used_names[base] = used_names.get(base, 0) + 1
-        name = base if used_names[base] == 1 else f"{base}-{used_names[base]}"
+        base = name = _safe_name(label)
+        suffix = 1
+        while name in used_names:
+            suffix += 1
+            name = f"{base}-{suffix}"
+        used_names.add(name)
         path = out / f"{name}.pgm"
         images.append((path, counts_to_pgm(counts)))
         entries.append(

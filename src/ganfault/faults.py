@@ -2,7 +2,8 @@
 
 Three structural modes rewrite a single gate slot (missing device, device
 swap, polarity reversal) and one stochastic mode flips input bits with a
-per-bit probability.  Structural faults address a slot as
+per-bit probability; the sampler applies the flips to each batch of
+candidate inputs.  Structural faults address a slot as
 (layer, lowest covered position), both 1-based.
 
 Text grammar (comma-separated for lists)::
@@ -19,9 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
-from .circuit import GATES_BY_NAME, BitVector, Circuit, GateKind, GateSlot, Layer
+from .circuit import GATES_BY_NAME, Circuit, GateKind, GateSlot, Layer
 
 #: Polarity complements; an involution covering all eight gates.
 COMPLEMENT = {
@@ -164,19 +163,3 @@ def inject_all(circuit: Circuit, faults: Sequence[FaultSpec]) -> Circuit:
 def perturbations(faults: Sequence[FaultSpec]) -> tuple[float, ...]:
     """Flip probabilities of the perturbation faults, in declaration order."""
     return tuple(f.probability for f in faults if isinstance(f, InputPerturbation))
-
-
-def perturb_input(v: BitVector, p: float, rng: np.random.Generator) -> BitVector:
-    """Flip each bit of ``v`` independently with probability ``p``.
-
-    Consumes exactly ``v.width`` uniform draws from ``rng`` regardless of
-    how many bits flip, so callers can account for stream positions.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"flip probability must be in [0, 1], got {p}")
-    draws = rng.random(v.width)
-    flips = 0
-    for j in range(v.width):
-        if draws[j] < p:
-            flips |= 1 << j
-    return BitVector(v.width, v.value ^ flips)

@@ -101,19 +101,6 @@ def pair_energy(
     return -(ensemble[mu].xi[i - 1] * total) / (2 * width)
 
 
-def pair_energy_quadratic(
-    ensemble: Sequence[AgreementVector], mu: int, i: int, j: int
-) -> float:
-    """Same energy via the literal squared-product sum (binary-equal form)."""
-    width = _check_ensemble(ensemble)
-    if not 0 <= mu < len(ensemble):
-        raise ValueError(f"index mu={mu} out of range 0..{len(ensemble) - 1}")
-    if not (1 <= i <= width and 1 <= j <= width):
-        raise ValueError(f"index (i={i}, j={j}) out of range 1..{width}")
-    total = sum((ensemble[mu].xi[i - 1] * a.xi[j - 1]) ** 2 for a in ensemble)
-    return -total / (2 * width)
-
-
 @dataclass(frozen=True)
 class ManifoldStats:
     """One constant-uncertainty manifold: members and energy spread."""
@@ -134,16 +121,6 @@ class EnergySpectrum:
     size: int
     width: int
     manifolds: dict[int, ManifoldStats]
-    _xi: np.ndarray
-    _column_sums: np.ndarray
-
-    def energy(self, mu: int, i: int, j: int) -> float:
-        """Pair energy E^mu_ij, factorized through the column sums."""
-        if not 0 <= mu < self.size:
-            raise ValueError(f"index mu={mu} out of range 0..{self.size - 1}")
-        if not (1 <= i <= self.width and 1 <= j <= self.width):
-            raise ValueError(f"index (i={i}, j={j}) out of range 1..{self.width}")
-        return -(int(self._xi[mu, i - 1]) * int(self._column_sums[j - 1])) / (2 * self.width)
 
     @property
     def energy_floor(self) -> float:
@@ -182,7 +159,7 @@ def spectrum(ensemble: Sequence[AgreementVector]) -> EnergySpectrum:
             max_energy=max_e,
             mean_energy=mean_e,
         )
-    return EnergySpectrum(size, width, manifolds, xi, col_sums)
+    return EnergySpectrum(size, width, manifolds)
 
 
 @dataclass(frozen=True)

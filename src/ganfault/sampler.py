@@ -10,7 +10,9 @@ uncertainty level epsilon of a reference signal.  Two comparison modes:
   loop searches for an input whose modulated output approximates it.
 
 Both modes share one candidate loop, and trials run one after the other
-in the calling thread.
+in the calling thread.  Every candidate is a fresh draw from the trial's
+own substream; no input is carried from one trial to the next, so the
+samples of an experiment are independent.
 
 Unreachable targets are skipped.  Every gate acts inside one aligned bit
 pair, inputs are uniform and flip noise keeps them uniform, so a target
@@ -128,7 +130,6 @@ class ExperimentConfig:
     faults: tuple[FaultSpec, ...] = ()
     mode: ComparisonMode = ComparisonMode.FAULT_COMPARE
     max_iterations: int = 1_000_000
-    memoize: bool = False
     label: str | None = None
 
     @property
@@ -152,40 +153,6 @@ class ExperimentConfig:
         if self.label is not None:
             return self.label
         return format_fault_list(self.faults) or "none"
-
-    def cache_key(self) -> tuple:
-        return (self.circuit, self.faults, self.epsilon, self.mode, self.circuit.width)
-
-
-class ModulatorCache:
-    """Remembers generator inputs that satisfied each reference target.
-
-    Entries are keyed by the packed reference value and replayed in
-    insertion order before any fresh random draws.  The cache clears
-    itself whenever it is bound to a different (circuit, faults, epsilon,
-    mode) combination, which keeps every stored input valid under the
-    configuration it is consulted for.
-    """
-
-    def __init__(self) -> None:
-        self._key: tuple | None = None
-        self._store: dict[int, list[int]] = {}
-
-    def bind(self, key: tuple) -> None:
-        if key != self._key:
-            self._key = key
-            self._store = {}
-
-    def candidates(self, target: int) -> list[int]:
-        return self._store.get(target, [])
-
-    def remember(self, target: int, generator_input: int) -> None:
-        hits = self._store.setdefault(target, [])
-        if generator_input not in hits:
-            hits.append(generator_input)
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._store.values())
 
 
 def _uint32_words(n: int) -> list[int]:
@@ -304,13 +271,9 @@ def _perturb_batch(
     return values
 
 
-def _candidate_batches(
-    rng: np.random.Generator, replay: list[int], budget: int, width: int
-):
-    """Replayed inputs first, then fresh chunks that fill the rest of the budget."""
-    if replay:
-        yield np.array(replay, dtype=np.uint64)
-    size, remaining = _CHUNK_FIRST, budget - len(replay)
+def _candidate_batches(rng: np.random.Generator, budget: int, width: int):
+    """Fresh chunks of growing size that together fill the budget."""
+    size, remaining = _CHUNK_FIRST, budget
     while remaining > 0:
         n = min(size, remaining)
         yield _draw_inputs(rng, n, width)
@@ -339,14 +302,12 @@ def run_trial(
     faulty: Circuit,
     ideal: Circuit,
     rng: np.random.Generator,
-    cache: ModulatorCache | None = None,
     invariants: tuple[int, tuple[float, ...], str, bool] | None = None,
 ) -> DeviationSample:
     """Run one rejection-sampling trial and return its deviation sample.
 
     One loop serves both modes; only the reference differs: the drawn
-    target, or ``ideal``'s output on the same inputs.  A ``cache`` is used
-    in TARGET_SEARCH only: its inputs for the target are replayed first.
+    target, or ``ideal``'s output on the same inputs.
 
     Budget exhaustion is a data outcome: the sample of the last examined
     candidate is returned with ``accepted=False`` and the full iteration
@@ -369,14 +330,11 @@ def run_trial(
                     nearest << 1, target << 1, budget, False, cfg.epsilon, label
                 )
         reference = np.uint64(target)
-    else:
-        cache = None
-    replay = cache.candidates(target)[:budget] if cache is not None else []
 
     used = 0
     re = im = 0
     accepted = False
-    for gs in _candidate_batches(rng, replay, budget, width):
+    for gs in _candidate_batches(rng, budget, width):
         modulated = faulty.evaluate_batch(_perturb_batch(rng, gs, width, probs))
         if target is None:
             reference = ideal.evaluate_batch(gs)
@@ -387,34 +345,22 @@ def run_trial(
         re = int(modulated[i]) << 1
         im = (int(reference[i]) if target is None else target) << 1
         if accepted:
-            if cache is not None:
-                cache.remember(target, int(gs[i]))
             break
     return DeviationSample(re, im, used, accepted, cfg.epsilon, label)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    workers: int = 1,
-    cache: ModulatorCache | None = None,
-) -> list[DeviationSample]:
+def run_experiment(cfg: ExperimentConfig) -> list[DeviationSample]:
     """Run ``cfg.trials`` trials in index order and return their samples.
 
-    Trials run one after the other in the calling thread, so the result is
-    a pure function of the configuration and cache updates apply in trial
-    order.  ``workers`` has no effect; it is kept for existing callers.
+    Trials run one after the other in the calling thread, each on its own
+    substream (:func:`trial_rng`), so the result is a pure function of the
+    configuration.
     """
     cfg.validate()
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
     invariants = _invariants(cfg, faulty)
-    if cfg.memoize:
-        if cache is None:
-            cache = ModulatorCache()
-        cache.bind(cfg.cache_key())
-    else:
-        cache = None
     return [
-        run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), cache, invariants)
+        run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), invariants)
         for t in range(cfg.trials)
     ]

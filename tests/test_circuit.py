@@ -12,7 +12,6 @@ from ganfault.circuit import (
     Layer,
     decode_int,
     encode_int,
-    eval_circuit,
     eval_gate,
     identity_circuit,
     pair_layer,
@@ -105,8 +104,8 @@ def test_and_pair_layer():
 def test_two_layer_composition():
     c = Circuit(2, [pair_layer(GateKind.AND, 2), unary_layer(GateKind.NOT, 2)])
     # AND writes 1 to both positions, NOT flips both.
-    assert str(eval_circuit(c, BitVector.from_string("11"))) == "00"
-    assert str(eval_circuit(c, BitVector.from_string("01"))) == "11"
+    assert str(c.evaluate(BitVector.from_string("11"))) == "00"
+    assert str(c.evaluate(BitVector.from_string("01"))) == "11"
 
 
 def test_identity_circuit():

@@ -90,6 +90,45 @@ def test_run_json_replay_reproduces_bytes(not8_ckt, tmp_path):
     assert (first / "scatter.svg").read_bytes() == (second / "scatter.svg").read_bytes()
 
 
+def test_old_run_json_with_memoize_false_replays(not8_ckt, tmp_path):
+    fresh = tmp_path / "fresh"
+    assert main([
+        "simulate", "--ckt", str(not8_ckt), "--fault", "swap:L1.S1:buffer",
+        "--mode", "target-search", "--eps", "0.25", "--trials", "300",
+        "--seed", "11", "--out", str(fresh),
+    ]) == 0
+    doc = json.loads((fresh / "run.json").read_text())
+    assert "memoize" not in doc
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({**doc, "memoize": False, "workers": 1}))
+    replayed = tmp_path / "replayed"
+    assert main(["simulate", "--config", str(old), "--out", str(replayed)]) == 0
+    assert (fresh / "samples.csv").read_bytes() == (replayed / "samples.csv").read_bytes()
+    assert "memoize" not in json.loads((replayed / "run.json").read_text())
+
+
+def test_run_json_with_memoize_true_exits_2(not8_ckt, tmp_path, capsys):
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(
+        {"ckt": str(not8_ckt), "seed": 1, "trials": 10, "memoize": True}
+    ))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert "'memoize' was removed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_memoize_flag_exits_2(not8_ckt, tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([
+        "simulate", "--ckt", str(not8_ckt), "--eps", "0.25", "--trials", "10",
+        "--seed", "1", "--memoize", "--out", str(out),
+    ])
+    assert code == 2
+    assert "--memoize" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_do_not_change_bytes(not8_ckt, tmp_path):
     outs = []
     for i, w in enumerate(("1", "8")):
@@ -194,7 +233,7 @@ def test_dataset_labels_and_reruns(not8_ckt, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_dataset_duplicate_labels(not8_ckt, tmp_path):
+def test_dataset_duplicate_labels(not8_ckt, tmp_path, capsys):
     out = tmp_path / "dup"
     code = main([
         "dataset", "--ckt", str(not8_ckt), "--eps", "0.25", "--trials", "100",
@@ -205,6 +244,20 @@ def test_dataset_duplicate_labels(not8_ckt, tmp_path):
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert [e["file"] for e in manifest["entries"]] == ["same.pgm", "same-2.pgm"]
+
+    # "a-2" is also the suffixed name of the second "a": every image keeps a file.
+    out = tmp_path / "collide"
+    code = main([
+        "dataset", "--ckt", str(not8_ckt), "--eps", "0.25", "--trials", "100",
+        "--seed", "23", "--max-iterations", "100",
+        "--run", "a=", "--run", "a=", "--run", "a-2=flip:0.5", "--out", str(out),
+    ])
+    assert code == 0
+    assert "dataset: 3 images" in capsys.readouterr().out
+    files = [e["file"] for e in json.loads((out / "manifest.json").read_text())["entries"]]
+    assert len(set(files)) == 3
+    assert all((out / name).exists() for name in files)
+    assert sorted(p.name for p in out.glob("*.pgm")) == sorted(files)
 
 
 def test_dataset_requires_runs(not8_ckt, tmp_path, capsys):
@@ -358,8 +411,6 @@ def test_bad_tau_exits_2_before_sampling(tau, not4_ckt, tmp_path, monkeypatch, c
 
 def _flag(key, value) -> list[str]:
     name = "--" + key.replace("_", "-")
-    if key == "memoize" and value is True:
-        return [name]
     if isinstance(value, list):
         return [token for item in value for token in (name, str(item))]
     return [name, str(value)]
@@ -379,7 +430,7 @@ def test_cli_and_config_fuzz_never_exits_1(not4_ckt, tmp_path, monkeypatch, caps
         "fault": ["", "flip:0.1", "swap:L1.S1:buffer", "missing:L1.S1"],
         "mode": ["fault-compare", "target-search"],
         "max_iterations": [1, 64],
-        "memoize": [False, True],
+        "memoize": [False],
         "workers": [1, 2],
         "tau": [0.05, 0.5],
         "min_samples": [0, 8],

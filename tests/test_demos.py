@@ -1,6 +1,12 @@
-"""Each demo script runs to completion (artifacts go to demos/output/)."""
+"""Each demo script and the README quick start run to completion.
 
+Demo artifacts go to demos/output/.
+"""
+
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,3 +31,13 @@ def test_demo_runs(script):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1, "expected one python block in README.md"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(blocks[0], "README.md", "exec"), {"__name__": "readme"})
+    assert printed.getvalue() == "0.1\n"

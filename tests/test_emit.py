@@ -153,8 +153,16 @@ def test_emit_dataset_fault_free_concentrates_on_diagonal(tmp_path):
 
 def test_emit_dataset_duplicate_labels_suffixed(tmp_path):
     runs = _runs()[:1] * 2
-    manifest = emit_dataset(runs, tmp_path)
+    manifest = emit_dataset(runs, tmp_path / "a")
     assert [e.file for e in manifest.entries] == ["none.pgm", "none-2.pgm"]
+    # A label that spells an earlier run's suffixed name must not reuse it.
+    none, _, (_, noisy) = _runs()
+    runs = [none, none, ("none-2", noisy)]
+    manifest = emit_dataset(runs, tmp_path / "b")
+    files = [e.file for e in manifest.entries]
+    assert files == ["none.pgm", "none-2.pgm", "none-2-2.pgm"]
+    assert [e.label for e in manifest.entries] == ["none", "none", "none-2"]
+    assert all((tmp_path / "b" / name).exists() for name in files)
 
 
 def test_emit_dataset_reproducible(tmp_path):

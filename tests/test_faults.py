@@ -25,8 +25,8 @@ from ganfault.faults import (
     inject_all,
     parse_fault,
     parse_fault_list,
-    perturb_input,
 )
+from ganfault.sampler import _perturb_batch
 
 from conftest import random_circuit
 
@@ -154,17 +154,24 @@ def test_fault_grammar_rejects(text):
 
 def test_perturb_identity_and_certain_flip():
     rng = np.random.default_rng(0)
-    v = BitVector.from_string("1010")
-    assert perturb_input(v, 0.0, rng) == v
-    assert perturb_input(v, 1.0, rng) == BitVector.from_string("0101")
+    for width in (4, 64):
+        ones = (1 << width) - 1
+        values = np.array([0, 0b1010, 0b0110, ones], dtype=np.uint64)
+        assert np.array_equal(_perturb_batch(rng, values, width, (0.0,)), values)
+        assert np.array_equal(
+            _perturb_batch(rng, values, width, (1.0,)), values ^ np.uint64(ones)
+        )
+        # Two certain flips cancel.
+        assert np.array_equal(_perturb_batch(rng, values, width, (1.0, 1.0)), values)
 
 
 def test_perturb_consumes_exactly_width_draws():
+    # Each flip fault draws one uniform per bit of every value in the batch.
     a = np.random.default_rng(11)
     b = np.random.default_rng(11)
-    v = BitVector.from_string("110011")
-    perturb_input(v, 0.3, a)
-    b.random(v.width)
+    values = np.arange(5, dtype=np.uint64)
+    _perturb_batch(a, values, 6, (0.3, 0.0, 1.0))
+    b.random(3 * 5 * 6)
     assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
 
 
@@ -172,9 +179,9 @@ def test_perturb_mean_hamming_matches_binomial():
     # Binomial oracle: mean flips of Binomial(8, 0.5) is 4, sample-mean sigma
     # over 10^4 trials is sqrt(8 * 0.25) / 100.
     rng = np.random.default_rng(2024)
-    v = BitVector.from_string("10110100")
     trials = 10_000
-    total = sum(perturb_input(v, 0.5, rng).hamming(v) for _ in range(trials))
-    mean = total / trials
+    values = np.full(trials, BitVector.from_string("10110100").value, dtype=np.uint64)
+    flipped = _perturb_batch(rng, values, 8, (0.5,))
+    mean = float(np.bitwise_count(flipped ^ values).mean())
     sigma = math.sqrt(8 * 0.25 / trials)
     assert abs(mean - 4.0) <= 3 * sigma

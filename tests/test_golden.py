@@ -48,7 +48,7 @@ GOLDENS = {
         "andnot16",
         ["sweep", "--fault", "reverse:L1.S1,flip:0.1", "--mode", "target-search",
          "--grid", "0.2,0.35,0.5", "--trials", "150", "--max-iterations", "2000",
-         "--memoize", "--seed", "2027"],
+         "--seed", "2027"],
         "sweep.csv",
         "cf0c8e045ccea564ae62380483fef4e0161057c3c593dfec7fa5cb4fc6e01353",
     ),

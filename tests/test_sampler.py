@@ -12,7 +12,6 @@ from ganfault.sampler import (
     ComparisonMode,
     DeviationSample,
     ExperimentConfig,
-    ModulatorCache,
     deviation,
     max_acceptable_distance,
     relative_uncertainty,
@@ -116,7 +115,7 @@ def test_target_search_cumulative_binomial_mean():
     assert abs(mean - 3.2) / 3.2 < 0.05
 
 
-def test_deterministic_across_worker_counts():
+def test_rerun_reproduces_samples():
     cfg = _config(
         circuit=Circuit(8, [pair_layer(GateKind.AND, 8)]),
         faults=(Swap(1, 1, GateKind.OR), InputPerturbation(0.1)),
@@ -125,16 +124,12 @@ def test_deterministic_across_worker_counts():
         seed=99,
         max_iterations=200,
     )
-    runs = [run_experiment(cfg, workers=w) for w in (1, 4, 8)]
-    assert runs[0] == runs[1] == runs[2]
+    assert run_experiment(cfg) == run_experiment(cfg)
 
 
-@pytest.mark.parametrize("memoize", [False, True])
-def test_run_experiment_looks_up_trial_functions_at_call_time(memoize, monkeypatch):
+def test_run_experiment_looks_up_trial_functions_at_call_time(monkeypatch):
     # Span tracing replaces these module globals; a local alias would bypass it.
-    cfg = _config(
-        trials=6, seed=5, mode=ComparisonMode.TARGET_SEARCH, epsilon=0.25, memoize=memoize
-    )
+    cfg = _config(trials=6, seed=5, mode=ComparisonMode.TARGET_SEARCH, epsilon=0.25)
     expected = run_experiment(cfg)
     calls, issued = [], {}
 
@@ -250,8 +245,8 @@ def test_unreachable_targets_are_censored_without_drawing():
         distance, nearest = faulty.nearest(s.im >> 1)
         # The same trial without screening draws every candidate.
         unscreened = run_trial(
-            cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t), None,
-            (0, (0.1,), s.label, False),
+            cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t),
+            invariants=(0, (0.1,), s.label, False),
         )
         if distance > 0:
             skipped += 1
@@ -274,79 +269,6 @@ def test_mean_iterations_monotone_in_epsilon():
         )
         means.append(sum(s.iterations for s in samples) / len(samples))
     assert all(b <= a for a, b in zip(means, means[1:]))
-
-
-def test_memoized_repeats_never_slow_down():
-    cfg = _config(
-        circuit=identity_circuit(3),
-        mode=ComparisonMode.TARGET_SEARCH,
-        epsilon=0.0,
-        trials=400,
-        seed=17,
-        memoize=True,
-    )
-    samples = run_experiment(cfg)
-    per_target: dict[int, list[int]] = {}
-    for s in samples:
-        per_target.setdefault(s.im, []).append(s.iterations)
-    repeated = [its for its in per_target.values() if len(its) > 1]
-    assert repeated, "with 400 trials over 8 targets, repeats must occur"
-    for its in repeated:
-        # After the first acceptance the cached input is replayed first.
-        assert all(x == 1 for x in its[1:])
-
-
-def test_memoization_reduces_total_iterations():
-    base = dict(
-        circuit=identity_circuit(4),
-        mode=ComparisonMode.TARGET_SEARCH,
-        epsilon=0.0,
-        trials=300,
-        seed=23,
-    )
-    plain = run_experiment(ExperimentConfig(**base))
-    memo = run_experiment(ExperimentConfig(**base, memoize=True))
-    assert sum(s.iterations for s in memo) < sum(s.iterations for s in plain)
-
-
-def test_cache_invalidated_on_config_change():
-    cache = ModulatorCache()
-    cfg = _config(
-        circuit=identity_circuit(3),
-        mode=ComparisonMode.TARGET_SEARCH,
-        epsilon=0.0,
-        trials=50,
-        seed=29,
-        memoize=True,
-    )
-    run_experiment(cfg, cache=cache)
-    assert len(cache) > 0
-    changed = ExperimentConfig(
-        circuit=cfg.circuit, epsilon=1.0, trials=1, seed=29,
-        mode=cfg.mode, memoize=True,
-    )
-    run_experiment(changed, cache=cache)
-    # Binding to a different epsilon cleared the old entries; the single
-    # new trial stored at most one input.
-    assert len(cache) <= 1
-
-
-def test_cached_inputs_still_satisfy_predicate():
-    cache = ModulatorCache()
-    cfg = _config(
-        circuit=Circuit(4, [unary_layer(GateKind.NOT, 4)]),
-        mode=ComparisonMode.TARGET_SEARCH,
-        epsilon=0.25,
-        trials=200,
-        seed=31,
-        memoize=True,
-    )
-    run_experiment(cfg, cache=cache)
-    k = max_acceptable_distance(4, 0.25)
-    for target, inputs in cache._store.items():
-        for g in inputs:
-            out = cfg.circuit.evaluate(BitVector(4, g))
-            assert (out.value ^ target).bit_count() <= k
 
 
 def test_perturbed_buffer_outputs_uniform_chi_square():
