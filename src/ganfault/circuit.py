@@ -27,7 +27,7 @@ import enum
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -206,6 +206,28 @@ class Layer:
         object.__setattr__(self, "slots", ordered)
 
 
+def layer_fault(width: int, slots: Sequence[GateSlot]) -> tuple[str, int] | None:
+    """The first structural fault of one layer's slots, or None.
+
+    Returns the message and the index of the slot at fault: a position out
+    of range 1..width or covered twice is the fault of the slot naming it,
+    and positions left uncovered are the fault of the layer as a whole,
+    reported at index ``len(slots)``.
+    """
+    covered: set[int] = set()
+    for i, slot in enumerate(slots):
+        for p in slot.positions:
+            if not 1 <= p <= width:
+                return f"position {p} out of range 1..{width}", i
+            if p in covered:
+                return f"coverage: position {p} covered twice", i
+            covered.add(p)
+    missing = set(range(1, width + 1)) - covered
+    if missing:
+        return f"coverage: positions {sorted(missing)} uncovered", len(slots)
+    return None
+
+
 def _step(v: int, layer: Layer) -> int:
     """One layer applied to a packed Python int, slot by slot."""
     out = 0
@@ -240,25 +262,9 @@ class Circuit:
         if not self.layers:
             raise ValueError("circuit needs at least one layer")
         for li, layer in enumerate(self.layers, start=1):
-            covered: set[int] = set()
-            for slot in layer.slots:
-                for p in slot.positions:
-                    if not 1 <= p <= self.width:
-                        raise ValueError(
-                            f"position {p} out of range 1..{self.width} "
-                            f"in layer {li}"
-                        )
-                    if p in covered:
-                        raise ValueError(
-                            f"coverage: position {p} covered twice in layer {li}"
-                        )
-                    covered.add(p)
-            missing = set(range(1, self.width + 1)) - covered
-            if missing:
-                raise ValueError(
-                    f"coverage: layer {li} leaves positions "
-                    f"{sorted(missing)} uncovered"
-                )
+            fault = layer_fault(self.width, layer.slots)
+            if fault is not None:
+                raise ValueError(f"{fault[0]} in layer {li}")
 
     @cached_property
     def _rows(self) -> tuple[int, ...]:

@@ -10,12 +10,17 @@ Every run writes ``run.json``, an echo of the resolved configuration;
 feeding it back through ``--config`` reproduces all outputs byte-exactly.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
 1 internal error.  Unknown ``--config`` keys, ``--config`` values of
-another type than their flag produces, ``--workers`` below 1 and
-``--bins`` / ``--canvas`` outside their stated ranges are configuration
-errors.  ``--workers`` is accepted so that older run.json files replay;
-it has no effect.  Older run.json files may also hold ``"memoize"``, the
-key of a removed input-replay option: ``false`` is accepted and dropped,
-``true`` is a configuration error.
+another type than their flag produces, ``--workers`` below 1,
+``--min-samples`` below 0 and ``--bins`` / ``--canvas`` outside their
+stated ranges are configuration errors.  Every configuration error is
+caught before ``--out`` is created: each experiment (every grid level of
+a sweep, every ``--run`` of a dataset) passes
+:meth:`ExperimentConfig.validate`, the one check of epsilon, trials,
+iterations and seed, and has its faults injected once.  ``--workers`` is
+accepted so that older run.json files replay; it has no effect.  Older
+run.json files may also hold ``"memoize"``, the key of a removed
+input-replay option: ``false`` is accepted and dropped, ``true`` is a
+configuration error.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import analysis, emit
-from .faults import parse_fault_list
-from .hopfield import completeness_check, ensemble_from_samples, spectrum
+from .faults import inject_all, parse_fault_list
+from .hopfield import MAX_COMPLETENESS_WIDTH, completeness_check, ensemble_from_samples, spectrum
 from .netlist import NetlistError, parse_netlist
 from .sampler import ComparisonMode, ExperimentConfig, run_experiment
 
@@ -82,7 +87,10 @@ _CONFIG_TYPES = {
 }
 
 #: Inclusive integer ranges checked before any work starts.
-_RANGES = {"workers": (1, None), "bins": (1, MAX_BINS), "canvas": (64, MAX_CANVAS)}
+_RANGES = {
+    "workers": (1, None), "min_samples": (0, None),
+    "bins": (1, MAX_BINS), "canvas": (64, MAX_CANVAS),
+}
 
 
 def _add_common(p: argparse.ArgumentParser, *, needs_ckt: bool = True) -> None:
@@ -172,7 +180,7 @@ def _resolve(args: argparse.Namespace) -> dict:
         value = resolved[key]
         if value < low or (high is not None and value > high):
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-            raise ValueError(f"--{key} must be {bound}, got {value}")
+            raise ValueError(f"--{key.replace('_', '-')} must be {bound}, got {value}")
     return resolved
 
 
@@ -180,13 +188,6 @@ def _require(cfg: dict, key: str, command: str):
     if cfg.get(key) is None:
         raise ValueError(f"--{key.replace('_', '-')} is required for {command}")
     return cfg[key]
-
-
-def _epsilon(cfg: dict) -> float:
-    eps = float(cfg["eps"])
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"epsilon out of range [0, 1]: {eps}")
-    return eps
 
 
 def _check_level_count(count) -> None:
@@ -217,48 +218,44 @@ def _grid(spec) -> list[float]:
     if not values:
         raise ValueError(f"grid {spec!r} holds no epsilon level")
     _check_level_count(len(values))
-    for v in values:
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"epsilon out of range [0, 1]: {v}")
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValueError("grid values must be strictly increasing")
     return values
 
 
 def _experiment_config(cfg: dict, command: str, epsilon: float) -> ExperimentConfig:
+    """The validated experiment of ``cfg``; its faults are known to inject."""
     ckt_path = _require(cfg, "ckt", command)
     circuit = parse_netlist(Path(ckt_path).read_text(encoding="utf-8"))
-    return ExperimentConfig(
+    exp = ExperimentConfig(
         circuit=circuit,
-        epsilon=epsilon,
+        epsilon=float(epsilon),
         trials=cfg["trials"],
         seed=_require(cfg, "seed", command),
         faults=parse_fault_list(cfg["fault"]),
         mode=ComparisonMode(cfg["mode"]),
         max_iterations=cfg["max_iterations"],
     )
+    exp.validate()
+    inject_all(circuit, exp.faults)
+    return exp
+
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _out_dir(cfg: dict, command: str) -> Path:
+    """Create ``--out`` holding run.json; called once every check has passed."""
     out = Path(_require(cfg, "out", command))
     out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "run.json", {"command": command, **cfg})
     return out
 
 
-def _write_run_json(out: Path, command: str, cfg: dict) -> None:
-    doc = {"command": command}
-    for key, value in sorted(cfg.items()):
-        doc[key] = value
-    (out / "run.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def cmd_simulate(cfg: dict) -> int:
-    eps = _epsilon(cfg)
-    exp = _experiment_config(cfg, "simulate", eps)
+    exp = _experiment_config(cfg, "simulate", cfg["eps"])
     out = _out_dir(cfg, "simulate")
-    _write_run_json(out, "simulate", cfg)
     samples = run_experiment(exp)
     emit.write_samples_csv(samples, out / "samples.csv")
     size = cfg["canvas"]
@@ -273,8 +270,9 @@ def cmd_sweep(cfg: dict) -> int:
     tau = analysis.check_tau(float(cfg["tau"]))
     grid = _grid(cfg["grid"])
     exp = _experiment_config(cfg, "sweep", grid[0])
+    for eps in grid[1:]:
+        replace(exp, epsilon=eps).validate()
     out = _out_dir(cfg, "sweep")
-    _write_run_json(out, "sweep", cfg)
     sweep = analysis.run_sweep(exp, grid)
     estimate = analysis.detect_transition(
         sweep, tau=tau, min_samples=cfg["min_samples"]
@@ -299,19 +297,11 @@ def cmd_sweep(cfg: dict) -> int:
             repr(p.median_iterations) if p.median_iterations is not None else "",
         ])
     (out / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
-    (out / "transition.json").write_text(
-        json.dumps(
-            {
-                "epsilon_star": estimate.epsilon_star,
-                "tau": estimate.tau,
-                "min_samples": estimate.min_samples,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "transition.json", {
+        "epsilon_star": estimate.epsilon_star,
+        "tau": estimate.tau,
+        "min_samples": estimate.min_samples,
+    })
     shown = "none" if estimate.epsilon_star is None else f"{estimate.epsilon_star}"
     print(f"sweep: {len(grid)} levels, transition epsilon* = {shown} -> {out}")
     return 0
@@ -328,7 +318,6 @@ def cmd_table1(cfg: dict) -> int:
         )
     if cfg.get("out"):
         out = _out_dir(cfg, "table1")
-        _write_run_json(out, "table1", cfg)
         doc = [
             {
                 "pair": e.pair_name,
@@ -339,17 +328,13 @@ def cmd_table1(cfg: dict) -> int:
             }
             for e in entries
         ]
-        (out / "table1.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_json(out / "table1.json", doc)
     return 0
 
 
 def cmd_spectrum(cfg: dict) -> int:
-    eps = _epsilon(cfg)
-    exp = _experiment_config(cfg, "spectrum", eps)
+    exp = _experiment_config(cfg, "spectrum", cfg["eps"])
     out = _out_dir(cfg, "spectrum")
-    _write_run_json(out, "spectrum", cfg)
     samples = run_experiment(exp)
     ensemble = ensemble_from_samples(samples, exp.width)
     if not ensemble:
@@ -371,7 +356,7 @@ def cmd_spectrum(cfg: dict) -> int:
             for _, m in sorted(spec.manifolds.items())
         ],
     }
-    if exp.width <= 16:
+    if exp.width <= MAX_COMPLETENESS_WIDTH:
         report = completeness_check(exp.width, ensemble)
         doc["complete"] = report.complete
         doc["completeness"] = [
@@ -379,30 +364,26 @@ def cmd_spectrum(cfg: dict) -> int:
              "expected": m.expected}
             for m in report.manifolds
         ]
-    (out / "spectrum.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "spectrum.json", doc)
     print(f"spectrum: {spec.size} configurations, "
           f"{len(spec.manifolds)} manifolds -> {out}")
     return 0
 
 
 def cmd_dataset(cfg: dict) -> int:
-    eps = _epsilon(cfg)
+    exp = _experiment_config(dict(cfg, fault=""), "dataset", cfg["eps"])
     runs_spec = cfg.get("run") or []
     if not runs_spec:
         raise ValueError("--run LABEL=FAULTSPECS is required for dataset")
-    exp = _experiment_config(dict(cfg, fault=""), "dataset", eps)
-    out = _out_dir(cfg, "dataset")
-    _write_run_json(out, "dataset", cfg)
     runs = []
     for entry in runs_spec:
         label, sep, fault_text = entry.partition("=")
         if not sep:
             raise ValueError(f"run entry must be LABEL=FAULTSPECS, got {entry!r}")
-        runs.append(
-            (label, replace(exp, faults=parse_fault_list(fault_text), label=label))
-        )
+        run = replace(exp, faults=parse_fault_list(fault_text), label=label)
+        inject_all(run.circuit, run.faults)
+        runs.append((label, run))
+    out = _out_dir(cfg, "dataset")
     manifest = emit.emit_dataset(runs, out, bins=cfg["bins"])
     print(f"dataset: {len(manifest.entries)} images -> {out}")
     return 0

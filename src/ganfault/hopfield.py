@@ -26,6 +26,9 @@ import numpy as np
 from .circuit import BitVector
 from .sampler import DeviationSample
 
+#: The completeness check enumerates every manifold, so it stops at 16 bits.
+MAX_COMPLETENESS_WIDTH = 16
+
 
 @dataclass(frozen=True)
 class AgreementVector:
@@ -56,9 +59,9 @@ def agreement_vector(
     """xi_j = 1 iff simulated and expected agree at position j."""
     if simulated.width != expected.width:
         raise ValueError(f"width mismatch: {simulated.width} vs {expected.width}")
-    agree = ~(simulated.value ^ expected.value)
-    xi = tuple((agree >> (j - 1)) & 1 for j in range(1, simulated.width + 1))
-    return AgreementVector(simulated.width, xi, index)
+    return agreement_from_deviation(
+        simulated.value << 1, expected.value << 1, simulated.width, index
+    )
 
 
 def agreement_from_deviation(re: int, im: int, width: int, index: int = 0) -> AgreementVector:
@@ -188,10 +191,12 @@ def completeness_check(
 ) -> CompletenessReport:
     """Compare observed distinct patterns per manifold against C(N, k).
 
-    Exhaustive by construction, so widths above 16 are rejected.
+    Exhaustive by construction, so widths above MAX_COMPLETENESS_WIDTH fail.
     """
-    if width > 16:
-        raise ValueError(f"completeness check is exhaustive; width {width} > 16")
+    if width > MAX_COMPLETENESS_WIDTH:
+        raise ValueError(
+            f"completeness check is exhaustive; width {width} > {MAX_COMPLETENESS_WIDTH}"
+        )
     if ensemble:
         found = _check_ensemble(ensemble)
         if found != width:

@@ -11,11 +11,19 @@ Gate names are lowercase; positions are 1-based.  ``#`` starts a comment;
 blank lines are ignored.  :func:`serialize_netlist` emits the canonical
 form (slots sorted by lowest position, no comments), and parsing is its
 exact inverse.
+
+The parser checks the text: keywords, integers, gate names, arity, that a
+binary gate names two adjacent positions, and the width bound.  The rules
+of a layer's structure belong to the circuit: :class:`GateSlot` checks
+that positions start at 1 and binary gates start on an odd position, and
+:func:`layer_fault` that each position lies in 1..width and belongs to
+exactly one slot.  Their faults are reported at the line of the slot at
+fault, or at the line that closes the layer when a position has no slot.
 """
 
 from __future__ import annotations
 
-from .circuit import GATES_BY_NAME, Circuit, GateSlot, Layer
+from .circuit import GATES_BY_NAME, MAX_WIDTH, Circuit, GateSlot, Layer, layer_fault
 
 
 class NetlistError(ValueError):
@@ -34,14 +42,18 @@ def parse_netlist(text: str) -> Circuit:
     """
     width: int | None = None
     layers: list[Layer] = []
-    open_slots: list[tuple[GateSlot, int]] | None = None  # (slot, line)
+    open_slots: list[GateSlot] | None = None
+    slot_lines: list[int] = []
 
     def close_layer(line: int) -> None:
         nonlocal open_slots
         if open_slots is None:
             return
-        _check_coverage(width, open_slots, line)
-        layers.append(Layer(slot for slot, _ in open_slots))
+        fault = layer_fault(width, open_slots)
+        if fault is not None:
+            message, index = fault
+            raise NetlistError(message, (slot_lines + [line])[index])
+        layers.append(Layer(open_slots))
         open_slots = None
 
     lineno = 0
@@ -59,28 +71,26 @@ def parse_netlist(text: str) -> Circuit:
             if len(tokens) != 2:
                 raise NetlistError("width takes one integer", lineno)
             width = _int_token(tokens[1], lineno)
-            if not 1 <= width <= 64:
-                raise NetlistError(f"width {width} out of range 1..64", lineno)
+            if not 1 <= width <= MAX_WIDTH:
+                raise NetlistError(f"width {width} out of range 1..{MAX_WIDTH}", lineno)
         elif key == "layer":
             if len(tokens) != 1:
                 raise NetlistError("layer takes no arguments", lineno)
             if width is None:
                 raise NetlistError("layer before width declaration", lineno)
             close_layer(lineno)
-            open_slots = []
+            open_slots, slot_lines = [], []
         else:
             if width is None or open_slots is None:
                 raise NetlistError(f"slot line outside a layer block: {key!r}", lineno)
-            open_slots.append((_parse_slot(tokens, width, lineno), lineno))
+            open_slots.append(_parse_slot(tokens, lineno))
+            slot_lines.append(lineno)
     close_layer(lineno + 1)
     if width is None:
         raise NetlistError("missing width declaration", max(lineno, 1))
     if not layers:
         raise NetlistError("document has no layer blocks", max(lineno, 1))
-    try:
-        return Circuit(width, layers)
-    except ValueError as exc:  # pragma: no cover - coverage caught per layer
-        raise NetlistError(str(exc), max(lineno, 1)) from exc
+    return Circuit(width, layers)
 
 
 def _int_token(token: str, lineno: int) -> int:
@@ -90,7 +100,7 @@ def _int_token(token: str, lineno: int) -> int:
         raise NetlistError(f"expected integer, got {token!r}", lineno) from None
 
 
-def _parse_slot(tokens: list[str], width: int, lineno: int) -> GateSlot:
+def _parse_slot(tokens: list[str], lineno: int) -> GateSlot:
     kind = GATES_BY_NAME.get(tokens[0])
     if kind is None:
         raise NetlistError(f"unknown gate {tokens[0]!r}", lineno)
@@ -101,39 +111,16 @@ def _parse_slot(tokens: list[str], width: int, lineno: int) -> GateSlot:
             f"got {len(positions)}",
             lineno,
         )
-    for p in positions:
-        if not 1 <= p <= width:
-            raise NetlistError(f"position {p} out of range 1..{width}", lineno)
-    if kind.arity == 2:
-        lo, hi = positions
-        if hi != lo + 1 or lo % 2 == 0:
-            raise NetlistError(
-                f"alignment: binary gate needs an aligned pair "
-                f"(odd, odd+1), got ({lo}, {hi})",
-                lineno,
-            )
-    return GateSlot(kind, positions[0])
-
-
-def _check_coverage(
-    width: int | None, slots: list[tuple[GateSlot, int]], close_line: int
-) -> None:
-    assert width is not None
-    covered: dict[int, int] = {}
-    for slot, line in slots:
-        for p in slot.positions:
-            if p in covered:
-                raise NetlistError(
-                    f"coverage: position {p} already covered "
-                    f"(first at line {covered[p]})",
-                    line,
-                )
-            covered[p] = line
-    missing = sorted(set(range(1, width + 1)) - covered.keys())
-    if missing:
+    if kind.arity == 2 and positions[1] != positions[0] + 1:
         raise NetlistError(
-            f"coverage: positions {missing} uncovered in layer", close_line
+            f"alignment: binary gate needs an aligned pair "
+            f"(odd, odd+1), got ({positions[0]}, {positions[1]})",
+            lineno,
         )
+    try:
+        return GateSlot(kind, positions[0])
+    except ValueError as exc:
+        raise NetlistError(str(exc), lineno) from None
 
 
 def serialize_netlist(circuit: Circuit) -> str:

@@ -47,7 +47,6 @@ import numpy as np
 from .circuit import BitVector, Circuit, encode_int
 from .faults import (
     FaultSpec,
-    InputPerturbation,
     format_fault_list,
     inject_all,
     perturbations,
@@ -145,9 +144,6 @@ class ExperimentConfig:
             raise ValueError(f"max iterations must be >= 1, got {self.max_iterations}")
         if self.seed is None or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        for f in self.faults:
-            if isinstance(f, InputPerturbation) and not 0.0 <= f.probability <= 1.0:
-                raise ValueError(f"flip probability out of range: {f.probability}")
 
     def resolved_label(self) -> str:
         if self.label is not None:

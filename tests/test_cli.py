@@ -1,5 +1,6 @@
 import json
 import random
+import shutil
 import subprocess
 import sys
 
@@ -409,6 +410,27 @@ def test_bad_tau_exits_2_before_sampling(tau, not4_ckt, tmp_path, monkeypatch, c
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command, extra, message", [
+    ("simulate", ["--trials", "0"], "trials must be >= 1, got 0"),
+    ("spectrum", ["--seed", "-1"], "seed must be a non-negative integer"),
+    ("simulate", ["--max-iterations", "0"], "max iterations must be >= 1, got 0"),
+    ("sweep", ["--grid", "0.1,1.5"], "epsilon out of range [0, 1]: 1.5"),
+    ("simulate", ["--fault", "missing:L9.S1"], "slot: layer 9 out of range"),
+    ("dataset", ["--run", "bad"], "run entry must be LABEL=FAULTSPECS, got 'bad'"),
+    ("dataset", ["--run", "a=swap:L1.S1:and"], "arity mismatch"),
+    ("sweep", ["--min-samples", "-1"], "--min-samples must be >= 0, got -1"),
+])
+def test_config_error_exits_2_before_writing(command, extra, message, not4_ckt,
+                                             tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = [command, "--ckt", str(not4_ckt), "--trials", "8", "--seed", "1",
+            "--out", str(out)]
+    argv += ["--grid", "0.5"] if command == "sweep" else ["--eps", "0.25"]
+    assert main(argv + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _flag(key, value) -> list[str]:
     name = "--" + key.replace("_", "-")
     if isinstance(value, list):
@@ -442,6 +464,10 @@ def test_cli_and_config_fuzz_never_exits_1(not4_ckt, tmp_path, monkeypatch, caps
     commands = ["simulate", "sweep", "spectrum", "dataset", "table1"]
     codes = []
     for case in range(300):
+        # A configuration error must be caught before any file is written.
+        shutil.rmtree(tmp_path / "o", ignore_errors=True)
+        for stale in tmp_path.rglob("run.json"):
+            stale.unlink()
         doc = {key: rng.choice(values) for key, values in valid.items()}
         argv = [rng.choice(commands)]
         for key in rng.sample(sorted(valid), rng.randint(1, 3)):
@@ -454,5 +480,7 @@ def test_cli_and_config_fuzz_never_exits_1(not4_ckt, tmp_path, monkeypatch, caps
         config.write_text(json.dumps(doc))
         code = main(argv + ["--config", str(config)])
         assert code in (0, 2, 3), (argv, doc, capsys.readouterr().err)
+        if code == 2:
+            assert not list(tmp_path.rglob("run.json")), (argv, doc)
         codes.append(code)
     assert {0, 2} <= set(codes)

@@ -48,30 +48,36 @@ def test_roundtrip_fixpoint():
     assert serialize_netlist(parse_netlist(canonical)) == canonical
 
 
+#: (netlist text, word its message holds, line it is reported at); test ids
+#: stay "text-word"
+DIAGNOSTICS = [
+    ("width 4\nlayer\nand 1 2\n", "coverage", 4),
+    ("width 4\nlayer\nfoo 1\n", "unknown gate", 3),
+    ("width 4\nlayer\nnot 9\n", "position", 3),
+    ("width 4\nlayer\nand 2 3\nnot 1\nnot 4\n", "alignment", 3),
+    ("width 4\nlayer\nand 1 3\nnot 2\nnot 4\n", "alignment", 3),
+    ("width 4\nlayer\nnot 1\nnot 1\nnot 2\nnot 3\nnot 4\n", "coverage", 4),
+    ("layer\nnot 1\n", "width", 1),
+    ("width 4\nwidth 4\n", "duplicate width", 2),
+    ("width 0\n", "range", 1),
+    ("width 4\nnot 1\n", "layer", 2),
+    ("width 4\nlayer\nand 1\n", "arity", 3),
+    ("width x\n", "integer", 1),
+    ("", "width", 1),
+    ("width 3\nlayer\nnot 1\nand 3 4\n", "position", 4),
+]
+
+
 @pytest.mark.parametrize(
-    "text,needle",
-    [
-        ("width 4\nlayer\nand 1 2\n", "coverage"),
-        ("width 4\nlayer\nfoo 1\n", "unknown gate"),
-        ("width 4\nlayer\nnot 9\n", "position"),
-        ("width 4\nlayer\nand 2 3\nnot 1\nnot 4\n", "alignment"),
-        ("width 4\nlayer\nand 1 3\nnot 2\nnot 4\n", "alignment"),
-        ("width 4\nlayer\nnot 1\nnot 1\nnot 2\nnot 3\nnot 4\n", "coverage"),
-        ("layer\nnot 1\n", "width"),
-        ("width 4\nwidth 4\n", "duplicate width"),
-        ("width 0\n", "range"),
-        ("width 4\nnot 1\n", "layer"),
-        ("width 4\nlayer\nand 1\n", "arity"),
-        ("width x\n", "integer"),
-        ("", "width"),
-    ],
+    "text,needle,line",
+    [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in DIAGNOSTICS],
 )
-def test_diagnostics(text, needle):
+def test_diagnostics(text, needle, line):
     with pytest.raises(NetlistError) as info:
         parse_netlist(text)
     assert needle in str(info.value)
     assert "line" in str(info.value)
-    assert info.value.line >= 1
+    assert info.value.line == line
 
 
 def test_random_roundtrip():
