@@ -100,9 +100,16 @@ class SweepResult:
     points: list[SweepPoint]
 
     def __post_init__(self) -> None:
-        eps = [p.epsilon for p in self.points]
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon grid must be strictly increasing")
+        if self.points:
+            _check_grid([p.epsilon for p in self.points])
+
+
+def _check_grid(epsilons: Sequence[float]) -> None:
+    """Raise ``ValueError`` unless the grid is non-empty and strictly increasing."""
+    if not epsilons:
+        raise ValueError("epsilon grid holds no level")
+    if any(b <= a for a, b in zip(epsilons, epsilons[1:])):
+        raise ValueError("epsilon grid must be strictly increasing")
 
 
 def summarize_point(
@@ -134,8 +141,10 @@ def run_sweep(
     """Run one experiment per uncertainty level and summarize each.
 
     Every level reuses the base seed, so trial t sees the same generator
-    stream at each epsilon (paired sampling across the grid).
+    stream at each epsilon (paired sampling across the grid).  The grid
+    is checked before the first level runs.
     """
+    _check_grid(epsilons)
     points = []
     for eps in epsilons:
         samples = run_experiment(replace(cfg, epsilon=eps))
@@ -230,9 +239,10 @@ def fit_iteration_scaling(sweep: SweepResult) -> IterationScalingFit:
 class GateComposition:
     """Apply ``first`` to the raw inputs, then ``second`` to its outputs.
 
-    Shapes: binary-then-unary and unary-then-binary take two inputs
-    (A, B); binary-then-binary takes four (A, B, C, D) with the first
-    stage evaluated on (A, B) and (C, D).
+    ``first`` runs on consecutive groups of ``first.arity`` inputs and
+    ``second`` on the results: binary-then-unary and unary-then-binary
+    take two inputs (A, B); binary-then-binary takes four (A, B, C, D)
+    with the first stage evaluated on (A, B) and (C, D).
     """
 
     first: GateKind
@@ -240,11 +250,7 @@ class GateComposition:
 
     @property
     def arity(self) -> int:
-        if self.first.arity == 2 and self.second.arity == 2:
-            return 4
-        if self.first.arity == 1 and self.second.arity == 1:
-            return 1
-        return 2
+        return self.first.arity * self.second.arity
 
     @property
     def name(self) -> str:
@@ -259,19 +265,10 @@ class GateComposition:
             raise ValueError(
                 f"gate arity: {self.name} takes {self.arity} inputs, got {len(bits)}"
             )
-        if self.first.arity == 2 and self.second.arity == 1:
-            return eval_gate(self.second, eval_gate(self.first, bits[0], bits[1]))
-        if self.first.arity == 1 and self.second.arity == 2:
-            return eval_gate(
-                self.second, eval_gate(self.first, bits[0]), eval_gate(self.first, bits[1])
-            )
-        if self.first.arity == 1:
-            return eval_gate(self.second, eval_gate(self.first, bits[0]))
-        return eval_gate(
-            self.second,
-            eval_gate(self.first, bits[0], bits[1]),
-            eval_gate(self.first, bits[2], bits[3]),
-        )
+        n = self.first.arity
+        return eval_gate(self.second, *(
+            eval_gate(self.first, *bits[i:i + n]) for i in range(0, len(bits), n)
+        ))
 
 
 def table1_deviation(first: GateComposition, second: GateComposition) -> float:
@@ -370,7 +367,7 @@ TABLE1_PAIRS: tuple[tuple[int, int, float], ...] = (
 
 @dataclass(frozen=True)
 class Table1Entry:
-    pair_name: str
+    pair: str
     rows: tuple[int, int]
     computed: float
     claimed: float
@@ -392,7 +389,7 @@ def table1_report() -> list[Table1Entry]:
         computed = table1_deviation(row_a.composition, row_b.composition)
         entries.append(
             Table1Entry(
-                pair_name=f"{row_a.name} vs {row_b.name}",
+                pair=f"{row_a.name} vs {row_b.name}",
                 rows=(a, b),
                 computed=computed,
                 claimed=claimed,

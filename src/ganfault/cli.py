@@ -8,6 +8,10 @@ classifier training).
 
 Every run writes ``run.json``, an echo of the resolved configuration;
 feeding it back through ``--config`` reproduces all outputs byte-exactly.
+This module only computes results: :mod:`ganfault.emit` turns every one
+of them, run.json included, into the bytes of an artifact.  An empty
+``--ckt`` or ``--out`` counts as missing; ``table1`` without ``--out``
+only prints.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
 1 internal error.  Unknown ``--config`` keys, ``--config`` values of
 another type than their flag produces, ``--workers`` below 1,
@@ -26,12 +30,10 @@ configuration error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import analysis, emit
@@ -185,7 +187,7 @@ def _resolve(args: argparse.Namespace) -> dict:
 
 
 def _require(cfg: dict, key: str, command: str):
-    if cfg.get(key) is None:
+    if cfg.get(key) in (None, ""):
         raise ValueError(f"--{key.replace('_', '-')} is required for {command}")
     return cfg[key]
 
@@ -215,11 +217,8 @@ def _grid(spec) -> list[float]:
             values.append(v)
     else:
         values = [float(v) for v in spec.split(",")]
-    if not values:
-        raise ValueError(f"grid {spec!r} holds no epsilon level")
     _check_level_count(len(values))
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("grid values must be strictly increasing")
+    analysis._check_grid(values)
     return values
 
 
@@ -241,15 +240,11 @@ def _experiment_config(cfg: dict, command: str, epsilon: float) -> ExperimentCon
     return exp
 
 
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _out_dir(cfg: dict, command: str) -> Path:
     """Create ``--out`` holding run.json; called once every check has passed."""
     out = Path(_require(cfg, "out", command))
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "run.json", {"command": command, **cfg})
+    emit.write_json(out / "run.json", {"command": command, **cfg})
     return out
 
 
@@ -277,31 +272,8 @@ def cmd_sweep(cfg: dict) -> int:
     estimate = analysis.detect_transition(
         sweep, tau=tau, min_samples=cfg["min_samples"]
     )
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["epsilon", "trials", "accepted", "censored_fraction", "slope",
-         "intercept", "r_squared", "rho", "mean_iterations", "median_iterations"]
-    )
-    for p in sweep.points:
-        fit = p.fit
-        writer.writerow([
-            repr(p.epsilon), len(p.samples), p.accepted_count,
-            repr(p.censored_fraction),
-            repr(fit.slope) if fit else "",
-            repr(fit.intercept) if fit else "",
-            repr(fit.r_squared) if fit else "",
-            repr(fit.rho) if fit else "",
-            repr(p.mean_iterations) if p.mean_iterations is not None else "",
-            repr(p.median_iterations) if p.median_iterations is not None else "",
-        ])
-    (out / "sweep.csv").write_text(buf.getvalue(), encoding="utf-8")
-    _write_json(out / "transition.json", {
-        "epsilon_star": estimate.epsilon_star,
-        "tau": estimate.tau,
-        "min_samples": estimate.min_samples,
-    })
+    (out / "sweep.csv").write_text(emit.sweep_to_csv(sweep.points), encoding="utf-8")
+    emit.write_json(out / "transition.json", asdict(estimate))
     shown = "none" if estimate.epsilon_star is None else f"{estimate.epsilon_star}"
     print(f"sweep: {len(grid)} levels, transition epsilon* = {shown} -> {out}")
     return 0
@@ -313,22 +285,13 @@ def cmd_table1(cfg: dict) -> int:
     for e in entries:
         note = "matches claim" if e.reproduced else "claim not reproduced by Hamming metric"
         print(
-            f"{e.pair_name:28s} ({e.rows[0]},{e.rows[1]})  "
+            f"{e.pair:28s} ({e.rows[0]},{e.rows[1]})  "
             f"{e.computed:8.3f} {e.claimed:8.2f}  {note}"
         )
     if cfg.get("out"):
         out = _out_dir(cfg, "table1")
-        doc = [
-            {
-                "pair": e.pair_name,
-                "rows": list(e.rows),
-                "computed": e.computed,
-                "claimed": e.claimed,
-                "reproduced": e.reproduced,
-            }
-            for e in entries
-        ]
-        _write_json(out / "table1.json", doc)
+        emit.write_json(out / "table1.json",
+                        [dict(asdict(e), reproduced=e.reproduced) for e in entries])
     return 0
 
 
@@ -344,27 +307,13 @@ def cmd_spectrum(cfg: dict) -> int:
         "size": spec.size,
         "width": spec.width,
         "energy_floor": spec.energy_floor,
-        "manifolds": [
-            {
-                "agreement_count": m.agreement_count,
-                "degeneracy": m.degeneracy,
-                "distinct_patterns": m.distinct_patterns,
-                "min_energy": m.min_energy,
-                "max_energy": m.max_energy,
-                "mean_energy": m.mean_energy,
-            }
-            for _, m in sorted(spec.manifolds.items())
-        ],
+        "manifolds": [asdict(m) for _, m in sorted(spec.manifolds.items())],
     }
     if exp.width <= MAX_COMPLETENESS_WIDTH:
         report = completeness_check(exp.width, ensemble)
         doc["complete"] = report.complete
-        doc["completeness"] = [
-            {"agreement_count": m.agreement_count, "observed": m.observed,
-             "expected": m.expected}
-            for m in report.manifolds
-        ]
-    _write_json(out / "spectrum.json", doc)
+        doc["completeness"] = asdict(report)["manifolds"]
+    emit.write_json(out / "spectrum.json", doc)
     print(f"spectrum: {spec.size} configurations, "
           f"{len(spec.manifolds)} manifolds -> {out}")
     return 0

@@ -1,9 +1,16 @@
-"""Serialization of samples and byte-reproducible visual artifacts.
+"""The one writer of artifacts: every result becomes bytes here.
 
-Everything here is a pure function of its inputs: CSV rows, SVG scatter
-documents, and plain-text PGM rasters come out byte-identical for the
-same samples, which is what makes double-run comparisons a meaningful
-reproducibility check.
+Two text forms serve every table and document.  :func:`csv_text` writes
+the sample and sweep tables (cells are the csv module's ``str()`` of each
+value, ``None`` an empty cell); :func:`json_text` writes run.json,
+transition.json, spectrum.json, table1.json and the dataset manifest
+(sorted keys, 2-space indent, final newline), each document built from
+its result dataclass with ``asdict``.  SVG scatter documents and
+plain-text PGM rasters are the visual artifacts.
+
+Everything here is a pure function of its inputs: the same results give
+byte-identical files, which is what makes double-run comparisons a
+meaningful reproducibility check.
 """
 
 from __future__ import annotations
@@ -12,29 +19,60 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import full_scale
+from .analysis import SweepPoint, full_scale
 from .sampler import DeviationSample, ExperimentConfig, run_experiment
 
 CSV_HEADER = ("trial", "epsilon", "re", "im", "iterations", "accepted", "label")
 MANIFEST_VERSION = 1
 
 
-def samples_to_csv(samples: Sequence[DeviationSample]) -> str:
+def json_text(doc) -> str:
+    """The JSON form of every document: sorted keys, 2-space indent, final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` to ``path`` in the form of :func:`json_text`."""
+    Path(path).write_text(json_text(doc), encoding="utf-8")
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV form of every table: one header line, then one line per row.
+
+    Cells are the csv module's ``str()`` of each value, which for a float
+    is its shortest round-tripping repr; ``None`` is an empty cell.
+    """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for trial, s in enumerate(samples):
-        writer.writerow(
-            [trial, repr(s.epsilon), s.re, s.im, s.iterations,
-             "true" if s.accepted else "false", s.label]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def samples_to_csv(samples: Sequence[DeviationSample]) -> str:
+    return csv_text(CSV_HEADER, (
+        (trial, s.epsilon, s.re, s.im, s.iterations,
+         "true" if s.accepted else "false", s.label)
+        for trial, s in enumerate(samples)
+    ))
+
+
+def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
+    """One row per sweep level; a level without a fit leaves the fit cells empty."""
+    header = ("epsilon", "trials", "accepted", "censored_fraction", "slope",
+              "intercept", "r_squared", "rho", "mean_iterations", "median_iterations")
+    return csv_text(header, (
+        (p.epsilon, len(p.samples), p.accepted_count, p.censored_fraction,
+         *(astuple(p.fit) if p.fit else (None,) * 4),
+         p.mean_iterations, p.median_iterations)
+        for p in points
+    ))
 
 
 def write_samples_csv(samples: Sequence[DeviationSample], destination) -> int:
@@ -169,11 +207,7 @@ class DatasetManifest:
     entries: tuple[ManifestEntry, ...]
 
     def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "entries": [asdict(e) for e in self.entries],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json_text(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":

@@ -106,10 +106,9 @@ def pair_energy(
 
 @dataclass(frozen=True)
 class ManifoldStats:
-    """One constant-uncertainty manifold: members and energy spread."""
+    """One constant-uncertainty manifold: its size and energy spread."""
 
     agreement_count: int
-    members: tuple[int, ...]
     degeneracy: int
     distinct_patterns: int
     min_energy: float
@@ -145,8 +144,7 @@ def spectrum(ensemble: Sequence[AgreementVector]) -> EnergySpectrum:
 
     manifolds: dict[int, ManifoldStats] = {}
     for k in sorted(set(int(c) for c in counts)):
-        members = tuple(int(m) for m in np.nonzero(counts == k)[0])
-        patterns = {tuple(int(b) for b in xi[m]) for m in members}
+        rows = xi[counts == k]
         if k == 0:
             min_e = max_e = mean_e = 0.0
         else:
@@ -155,9 +153,8 @@ def spectrum(ensemble: Sequence[AgreementVector]) -> EnergySpectrum:
             mean_e = -(k * sum_all) / (width * width * denom)
         manifolds[k] = ManifoldStats(
             agreement_count=k,
-            members=members,
-            degeneracy=len(members),
-            distinct_patterns=len(patterns),
+            degeneracy=len(rows),
+            distinct_patterns=len(set(map(bytes, rows))),
             min_energy=min_e,
             max_energy=max_e,
             mean_energy=mean_e,

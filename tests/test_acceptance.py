@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one pass/fail line each.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  The transition-reproduction sweeps (criterion 5) dominate the
-runtime; everything else finishes in seconds.
+lines.  The module takes a few seconds; the parser fuzz (criterion 8) and
+the transition-reproduction sweeps (criterion 5) take most of it.
 """
 
 import math

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from ganfault import analysis
 from ganfault.analysis import (
     DEFAULT_EPSILON_GRID,
     GateComposition,
@@ -176,6 +177,17 @@ def test_fault_free_sweep_is_diagonal_everywhere():
         assert all(s.re == s.im for s in p.samples)
         assert p.fit is not None and p.fit.rho == 0.0
     assert detect_transition(sweep, min_samples=100).epsilon_star is None
+
+
+@pytest.mark.parametrize("grid", [[0.5, 0.25, 0.1], []], ids=["decreasing", "empty"])
+def test_run_sweep_checks_grid_before_sampling(grid, monkeypatch):
+    def no_sampling(cfg):
+        raise AssertionError("run_experiment called")
+
+    monkeypatch.setattr(analysis, "run_experiment", no_sampling)
+    cfg = ExperimentConfig(circuit=identity_circuit(4), epsilon=0.0, trials=4, seed=1)
+    with pytest.raises(ValueError, match="epsilon grid"):
+        run_sweep(cfg, grid)
 
 
 # --- reversed-composition table ------------------------------------------

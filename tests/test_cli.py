@@ -419,6 +419,7 @@ def test_bad_tau_exits_2_before_sampling(tau, not4_ckt, tmp_path, monkeypatch, c
     ("dataset", ["--run", "bad"], "run entry must be LABEL=FAULTSPECS, got 'bad'"),
     ("dataset", ["--run", "a=swap:L1.S1:and"], "arity mismatch"),
     ("sweep", ["--min-samples", "-1"], "--min-samples must be >= 0, got -1"),
+    ("simulate", ["--ckt", ""], "--ckt is required for simulate"),
 ])
 def test_config_error_exits_2_before_writing(command, extra, message, not4_ckt,
                                              tmp_path, capsys):
@@ -429,6 +430,21 @@ def test_config_error_exits_2_before_writing(command, extra, message, not4_ckt,
     assert main(argv + extra) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--eps", "0.25"],
+    ["sweep", "--grid", "0.5"],
+    ["spectrum", "--eps", "0.25"],
+    ["dataset", "--eps", "0.25", "--run", "clean="],
+], ids=["simulate", "sweep", "spectrum", "dataset"])
+def test_empty_out_exits_2_without_writing(argv, not4_ckt, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # an empty --out must not mean the working directory
+    code = main(argv + ["--ckt", str(not4_ckt), "--trials", "8", "--seed", "0",
+                        "--out", ""])
+    assert code == 2
+    assert f"--out is required for {argv[0]}" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("run.json"))
 
 
 def _flag(key, value) -> list[str]:
