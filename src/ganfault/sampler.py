@@ -9,10 +9,21 @@ uncertainty level epsilon of a reference signal.  Two comparison modes:
 * ``TARGET_SEARCH`` - a reference target is drawn once per trial and the
   loop searches for an input whose modulated output approximates it.
 
-Both modes share one candidate loop, and trials run one after the other
-in the calling thread.  Every candidate is a fresh draw from the trial's
-own substream; no input is carried from one trial to the next, so the
-samples of an experiment are independent.
+Both modes share one candidate loop, and trials run in the calling
+thread.  Every candidate is a fresh draw from the trial's own substream;
+no input is carried from one trial to the next, so the samples of an
+experiment are independent.
+
+Round one of a trial is its target and its first chunk of candidates.
+Wherever acceptance is likely, almost every trial accepts there, so
+:func:`run_experiment` settles round one for a pass of trials at once:
+it takes each trial's round-one draws as raw generator words, reads the
+inputs and flip uniforms out of them exactly as numpy's ``integers`` and
+``random`` would, and screens, evaluates and accepts in array operations.
+A trial that round one leaves open (no accept, budget left, target
+reachable) continues in the candidate loop of :func:`run_trial` from its
+second chunk, on its own generator at the point round one left it.  Each
+sample is therefore the one ``run_trial`` returns for that trial alone.
 
 Unreachable targets are skipped.  Every gate acts inside one aligned bit
 pair, inputs are uniform and flip noise keeps them uniform, so a target
@@ -61,6 +72,10 @@ _FLIP_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 # below 2**32, so a block never straddles a multiple of 2**32: only the
 # lowest word of its spawn keys varies.
 _SEED_BLOCK = 1024
+# Memory one pass of round one may hold: 8 bytes per raw word (2**15 words
+# at most) plus each trial's generator, kept until the pass ends.
+_PASS_BYTES = 1 << 18
+_GENERATOR_BYTES = 800
 # numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -254,26 +269,33 @@ def _draw_inputs(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
     return rng.integers(0, 1 << width, size=n, dtype=np.uint64)
 
 
+def _flip_masks(below: np.ndarray) -> np.ndarray:
+    """Flip masks from per-bit ``draw < p`` outcomes; the last axis is bit 0, 1, ..."""
+    return (below * _FLIP_WEIGHTS[: below.shape[-1]]).sum(axis=-1, dtype=np.uint64)
+
+
 def _perturb_batch(
     rng: np.random.Generator, values: np.ndarray, width: int, probs: Sequence[float]
 ) -> np.ndarray:
-    if not probs:
-        return values
-    weights = _FLIP_WEIGHTS[:width]
     for p in probs:
-        draws = rng.random((values.shape[0], width))
-        flips = ((draws < p) * weights).sum(axis=1, dtype=np.uint64)
-        values = values ^ flips
+        values = values ^ _flip_masks(rng.random((values.shape[0], width)) < p)
     return values
 
 
-def _candidate_batches(rng: np.random.Generator, budget: int, width: int):
-    """Fresh chunks of growing size that together fill the budget."""
-    size, remaining = _CHUNK_FIRST, budget
-    while remaining > 0:
-        n = min(size, remaining)
-        yield _draw_inputs(rng, n, width)
-        remaining -= n
+def _candidate_batches(
+    rng: np.random.Generator, budget: int, width: int, used: int = 0
+):
+    """Fresh chunks of growing size that together fill the budget.
+
+    The chunks holding the first ``used`` candidates, which must end on a
+    chunk boundary, were drawn before and are skipped.
+    """
+    size, drawn = _CHUNK_FIRST, 0
+    while drawn < budget:
+        n = min(size, budget - drawn)
+        if drawn >= used:
+            yield _draw_inputs(rng, n, width)
+        drawn += n
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
 
 
@@ -293,12 +315,166 @@ def _invariants(
     return k_allow, perturbations(cfg.faults), cfg.resolved_label(), screen
 
 
+def _round_one_words(cfg: ExperimentConfig) -> int:
+    """Raw PCG64 words a trial's round one draws: target, first chunk, flips.
+
+    An input of width w <= 32 takes one 32-bit half of a word, a wider one
+    a whole word (two halves at w = 64), and each flip uniform a word.
+    """
+    m = min(_CHUNK_FIRST, cfg.max_iterations)
+    inputs = m + (cfg.mode is ComparisonMode.TARGET_SEARCH)
+    if cfg.width <= 32:
+        inputs = (inputs + 1) // 2
+    return inputs + len(perturbations(cfg.faults)) * m * cfg.width
+
+
+def _pass_trials(words: int) -> int:
+    """Trials per pass when each draws ``words`` raw words in round one."""
+    return max(1, _PASS_BYTES // (8 * words + _GENERATOR_BYTES))
+
+
+def _round_one_inputs(
+    raw: np.ndarray, width: int, search: bool, m: int
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
+    """Targets, first-chunk candidates and buffered halves of round one.
+
+    Row r of ``raw`` holds trial r's first words, read as numpy's
+    ``integers`` draws them in :func:`_draw_inputs`: for w <= 32 a value is
+    the top w bits of a 32-bit half, the low half of a word first, and an
+    odd half out stays buffered for the next draw; for 33 <= w <= 63 it is
+    the top w bits of a word; at w = 64 each call takes all its high
+    halves, then all its low halves.  The targets are None in
+    fault-compare, the buffered halves None when round one drew an even
+    number of halves.
+    """
+    s = int(search)
+    if 32 < width < 64:
+        values = raw[:, : s + m] >> np.uint64(64 - width)
+        return (values[:, 0] if search else None), values[:, s:], None
+    words = raw[:, : s + m if width == 64 else (s + m + 1) // 2]
+    halves = np.stack([words & _MASK32, words >> 32], axis=-1).reshape(len(raw), -1)
+    if width == 64:
+        target = (halves[:, 0] << 32) | halves[:, 1] if search else None
+        s *= 2
+        gs = (halves[:, s : s + m] << 32) | halves[:, s + m : s + 2 * m]
+        return target, gs, None
+    values = halves >> np.uint64(32 - width)
+    buffered = halves[:, s + m] if (s + m) % 2 else None
+    return (values[:, 0] if search else None), values[:, s : s + m], buffered
+
+
+def _round_one_flips(
+    raw: np.ndarray, values: np.ndarray, width: int, probs: Sequence[float]
+) -> np.ndarray:
+    """``values`` perturbed by the flip uniforms that end each row of ``raw``.
+
+    ``random()`` is ``(raw >> 11) * 2**-53``: one word per uniform, drawn
+    one block per flip fault, candidate by candidate and bit by bit.  The
+    faults' masks commute, so they are applied in one xor.
+    """
+    rows, m = values.shape
+    block = raw[:, raw.shape[1] - len(probs) * m * width :]
+    uniforms = (block.reshape(rows, len(probs), m, width) >> np.uint64(11)) * 2.0**-53
+    below = uniforms < np.array(probs).reshape(-1, 1, 1)
+    return values ^ np.bitwise_xor.reduce(_flip_masks(below), axis=1)
+
+
+def _nearest_arrays(faulty: Circuit) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``faulty``'s per-byte nearest-output tables as (distance, output) arrays."""
+    return [
+        (np.array([d for d, _ in table]),
+         np.array([o for _, o in table], dtype=np.uint64))
+        for table in faulty._nearest_tables
+    ]
+
+
+def _nearest_batch(
+    tables: list[tuple[np.ndarray, np.ndarray]], targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:meth:`Circuit.nearest` of every target: distances and nearest outputs."""
+    distance = np.zeros(len(targets), dtype=np.int64)
+    nearest = np.zeros_like(targets)
+    for i, (dist, out) in enumerate(tables):
+        byte = (targets >> np.uint64(8 * i)) & np.uint64(0xFF)
+        distance += dist[byte]
+        nearest |= out[byte] << np.uint64(8 * i)
+    return distance, nearest
+
+
+def _settle_round_one(
+    cfg: ExperimentConfig,
+    faulty: Circuit,
+    ideal: Circuit,
+    invariants: tuple[int, tuple[float, ...], str, bool],
+    tables: list[tuple[np.ndarray, np.ndarray]] | None,
+    raw: np.ndarray,
+) -> tuple[list[DeviationSample], list[tuple[int, int | None, int | None]]]:
+    """Round one of every trial of a pass, as array operations.
+
+    Row r of ``raw`` holds trial r's round-one words (:func:`_round_one_words`).
+    Returns each trial's round-one sample and, for every trial round one
+    leaves open, its row, its target (None in fault-compare) and the half
+    its generator must hold buffered (None when there is none).  A trial is
+    settled when a candidate is accepted, when its target is screened out
+    as unreachable, or when the first chunk spends the whole budget.
+    """
+    k_allow, probs, label, screen = invariants
+    eps, budget = cfg.epsilon, cfg.max_iterations
+    search = cfg.mode is ComparisonMode.TARGET_SEARCH
+    m = min(_CHUNK_FIRST, budget)
+    target, gs, buffered = _round_one_inputs(raw, cfg.width, search, m)
+    samples = [None] * len(raw)
+    rows = np.arange(len(raw))
+    if screen:
+        distance, nearest = _nearest_batch(tables, target)
+        far = distance > k_allow
+        for r, t, o in zip(
+            rows[far].tolist(), target[far].tolist(), nearest[far].tolist()
+        ):
+            samples[r] = DeviationSample(o << 1, t << 1, budget, False, eps, label)
+        live = ~far
+        rows, raw, target, gs = rows[live], raw[live], target[live], gs[live]
+        buffered = None if buffered is None else buffered[live]
+
+    modulated = faulty.evaluate_batch(
+        _round_one_flips(raw, gs, cfg.width, probs).ravel()
+    ).reshape(gs.shape)
+    if search:
+        reference = target[:, None]
+    else:
+        reference = ideal.evaluate_batch(gs.ravel()).reshape(gs.shape)
+    hits = np.bitwise_count(modulated ^ reference) <= k_allow
+    accepted = hits.any(axis=1)
+    last = np.where(accepted, hits.argmax(axis=1), m - 1)
+    pick = np.arange(len(gs)), last
+    re = modulated[pick]
+    im = target if search else reference[pick]
+    for r, x, y, i, ok in zip(
+        rows.tolist(), re.tolist(), im.tolist(), last.tolist(), accepted.tolist()
+    ):
+        samples[r] = DeviationSample(x << 1, y << 1, i + 1, ok, eps, label)
+    if budget <= m:
+        return samples, []
+    rest = np.flatnonzero(~accepted)
+    targets = target[rest].tolist() if search else [None] * len(rest)
+    halves = [None] * len(rest) if buffered is None else buffered[rest].tolist()
+    return samples, list(zip(rows[rest].tolist(), targets, halves))
+
+
+def _buffer_half(rng: np.random.Generator, half: int) -> None:
+    """Leave ``half`` in ``rng``'s 32-bit buffer, as an odd draw of halves would."""
+    state = rng.bit_generator.state
+    state["has_uint32"], state["uinteger"] = 1, half
+    rng.bit_generator.state = state
+
+
 def run_trial(
     cfg: ExperimentConfig,
     faulty: Circuit,
     ideal: Circuit,
     rng: np.random.Generator,
     invariants: tuple[int, tuple[float, ...], str, bool] | None = None,
+    resume: tuple[int | None, int] | None = None,
 ) -> DeviationSample:
     """Run one rejection-sampling trial and return its deviation sample.
 
@@ -312,25 +488,33 @@ def run_trial(
     the nearest output (:meth:`Circuit.nearest`) as ``re`` and the full
     iteration count.  ``invariants`` lets :func:`run_experiment` derive the
     per-trial constants once; they are computed when omitted.
+
+    ``resume`` continues a trial whose first candidates were examined
+    elsewhere without an accept: it is the trial's target (None in
+    fault-compare) and the number of candidates examined, a whole number
+    of chunks, and ``rng`` must stand where those draws left it.
     """
     width = cfg.width
     k_allow, probs, label, screen = invariants or _invariants(cfg, faulty)
     budget = cfg.max_iterations
-    target = None
-    if cfg.mode is ComparisonMode.TARGET_SEARCH:
-        target = int(_draw_inputs(rng, 1, width)[0])
-        if screen:
-            distance, nearest = faulty.nearest(target)
-            if distance > k_allow:
-                return DeviationSample(
-                    nearest << 1, target << 1, budget, False, cfg.epsilon, label
-                )
+    if resume is None:
+        target, used = None, 0
+        if cfg.mode is ComparisonMode.TARGET_SEARCH:
+            target = int(_draw_inputs(rng, 1, width)[0])
+            if screen:
+                distance, nearest = faulty.nearest(target)
+                if distance > k_allow:
+                    return DeviationSample(
+                        nearest << 1, target << 1, budget, False, cfg.epsilon, label
+                    )
+    else:
+        target, used = resume
+    if target is not None:
         reference = np.uint64(target)
 
-    used = 0
     re = im = 0
     accepted = False
-    for gs in _candidate_batches(rng, budget, width):
+    for gs in _candidate_batches(rng, budget, width, used):
         modulated = faulty.evaluate_batch(_perturb_batch(rng, gs, width, probs))
         if target is None:
             reference = ideal.evaluate_batch(gs)
@@ -348,15 +532,36 @@ def run_trial(
 def run_experiment(cfg: ExperimentConfig) -> list[DeviationSample]:
     """Run ``cfg.trials`` trials in index order and return their samples.
 
-    Trials run one after the other in the calling thread, each on its own
-    substream (:func:`trial_rng`), so the result is a pure function of the
-    configuration.
+    Every trial runs on its own substream (:func:`trial_rng`), so the result
+    is a pure function of the configuration.  Trials go in passes that hold
+    at most :data:`_PASS_BYTES` of raw words and generators.  A pass
+    builds each trial's generator, takes its round one (target, first chunk
+    and that chunk's flip uniforms) in one ``random_raw`` call, and settles
+    round one of the whole pass in numpy (:func:`_settle_round_one`).  Each
+    trial that round one leaves unsettled continues in :func:`run_trial`
+    from its second chunk, on its own generator, so every sample is the one
+    ``run_trial`` returns for the trial alone.
     """
     cfg.validate()
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
     invariants = _invariants(cfg, faulty)
-    return [
-        run_trial(cfg, faulty, ideal, trial_rng(cfg.seed, t), invariants)
-        for t in range(cfg.trials)
-    ]
+    tables = _nearest_arrays(faulty) if invariants[3] else None  # screening
+    words = _round_one_words(cfg)
+    per_pass = _pass_trials(words)
+    samples: list[DeviationSample] = []
+    for start in range(0, cfg.trials, per_pass):
+        rngs = [trial_rng(cfg.seed, t)
+                for t in range(start, min(start + per_pass, cfg.trials))]
+        raw = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
+        batch, unsettled = _settle_round_one(
+            cfg, faulty, ideal, invariants, tables, raw
+        )
+        for j, target, half in unsettled:
+            if half is not None:
+                _buffer_half(rngs[j], half)
+            batch[j] = run_trial(
+                cfg, faulty, ideal, rngs[j], invariants, (target, _CHUNK_FIRST)
+            )
+        samples += batch
+    return samples

@@ -1,11 +1,22 @@
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from ganfault.circuit import BitVector, Circuit, GateKind, identity_circuit, pair_layer, unary_layer
+from ganfault.circuit import (
+    BitVector,
+    Circuit,
+    GateKind,
+    GateSlot,
+    Layer,
+    identity_circuit,
+    pair_layer,
+    unary_layer,
+)
 from ganfault import sampler
 from ganfault.faults import InputPerturbation, Missing, ReversedPolarity, Swap, inject_all
 from ganfault.sampler import (
@@ -127,26 +138,176 @@ def test_rerun_reproduces_samples():
     assert run_experiment(cfg) == run_experiment(cfg)
 
 
-def test_run_experiment_looks_up_trial_functions_at_call_time(monkeypatch):
-    # Span tracing replaces these module globals; a local alias would bypass it.
-    cfg = _config(trials=6, seed=5, mode=ComparisonMode.TARGET_SEARCH, epsilon=0.25)
-    expected = run_experiment(cfg)
+def _tracking_trial_rng(monkeypatch):
+    """Log each ``sampler.trial_rng`` call and map each generator to its trial."""
     calls, issued = [], {}
 
-    def counting_rng(seed, trial):
+    def tracking(seed, trial):
         rng = trial_rng(seed, trial)
-        calls.append(("trial_rng", trial))
-        issued[id(rng)] = trial
+        calls.append(trial)
+        issued[id(rng)] = trial, rng  # holding rng keeps its id unique
         return rng
 
-    def counting_trial(cfg, faulty, ideal, rng, *rest):
-        calls.append(("run_trial", issued[id(rng)]))
-        return run_trial(cfg, faulty, ideal, rng, *rest)
+    monkeypatch.setattr(sampler, "trial_rng", tracking)
+    return calls, lambda rng: issued[id(rng)][0]
 
-    monkeypatch.setattr(sampler, "trial_rng", counting_rng)
+
+def test_run_experiment_looks_up_trial_rng_and_continuation_at_call_time(monkeypatch):
+    # Span tracing replaces these module globals; a local alias would bypass it.
+    # At epsilon 0 a 4-bit target is hit within the first chunk of 8 about
+    # 40% of the time, so some trials settle there and the rest continue.
+    cfg = _config(
+        trials=40, seed=5, mode=ComparisonMode.TARGET_SEARCH, max_iterations=200
+    )
+    expected = run_experiment(cfg)
+    calls, trial_of = _tracking_trial_rng(monkeypatch)
+    continued = []
+
+    def counting_trial(cfg, faulty, ideal, rng, invariants=None, resume=None):
+        continued.append((trial_of(rng), resume))
+        return run_trial(cfg, faulty, ideal, rng, invariants, resume)
+
     monkeypatch.setattr(sampler, "run_trial", counting_trial)
     assert run_experiment(cfg) == expected
-    assert calls == [(name, t) for t in range(6) for name in ("trial_rng", "run_trial")]
+    assert calls == list(range(cfg.trials))
+    # A trial continues exactly when round one examined its first chunk of 8
+    # without an accept; the continuation resumes after that chunk.
+    unsettled = [
+        (t, (s.im >> 1, 8)) for t, s in enumerate(expected) if s.iterations > 8
+    ]
+    assert continued == unsettled
+    assert 0 < len(unsettled) < cfg.trials
+
+
+def _circuit(width: int, lossy: bool) -> Circuit:
+    """NOT on every bit, after AND on every pair when ``lossy``; else a bijection."""
+    layers = [unary_layer(GateKind.NOT, width)]
+    if lossy and width > 1:
+        slots = [GateSlot(GateKind.AND, p) for p in range(1, width, 2)]
+        slots += [GateSlot(GateKind.BUFFER, width)] * (width % 2)
+        layers.insert(0, Layer(slots))
+    return Circuit(width, layers)
+
+
+def _per_trial(cfg: ExperimentConfig) -> list[DeviationSample]:
+    faulty = inject_all(cfg.circuit, cfg.faults)
+    return [
+        run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
+        for t in range(cfg.trials)
+    ]
+
+
+@pytest.mark.parametrize("width", [*range(1, 17), 20, 31, 32, 33, 40, 63, 64])
+def test_run_experiment_equals_the_per_trial_loop(width):
+    # Both modes, 0-2 flip faults, budgets either side of the first chunk of
+    # 8, and lossy circuits, whose unreachable targets are screened out at
+    # low epsilon, next to bijections, which screen nothing.
+    cases = itertools.product(
+        ComparisonMode, (0, 1, 2), (1, 3, 8, 9, 70, 600), (False, True)
+    )
+    screened = 0
+    for i, (mode, flips, budget, lossy) in enumerate(cases):
+        cfg = _config(
+            circuit=_circuit(width, lossy),
+            faults=(InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
+            mode=mode,
+            epsilon=(0.0, 0.1, 0.25)[i % 3] if lossy else (0.0, 0.5)[i % 2],
+            trials=(1, 7, 12)[i % 3],
+            seed=(width, 2**64 + width, 2**70 + 3)[i % 3],
+            max_iterations=budget,
+        )
+        screened += sampler._invariants(cfg, inject_all(cfg.circuit, cfg.faults))[3]
+        assert run_experiment(cfg) == _per_trial(cfg), (mode, flips, budget, lossy)
+    assert screened > 0 or width == 1
+
+
+def test_passes_and_seed_blocks_do_not_change_samples():
+    cfg = _config(
+        circuit=_circuit(8, lossy=True),
+        faults=(InputPerturbation(0.1),),
+        mode=ComparisonMode.TARGET_SEARCH,
+        epsilon=0.25,
+        seed=2**64,
+        max_iterations=40,
+    )
+    per_pass = sampler._pass_trials(sampler._round_one_words(cfg))
+    assert 1 < per_pass < 1023
+    for trials in (1, per_pass - 1, per_pass, per_pass + 1, 1023, 1024, 1025, 2049):
+        cfg.trials = trials
+        assert run_experiment(cfg) == _per_trial(cfg), trials
+
+
+@pytest.mark.parametrize(
+    "mode, width, flips",
+    [
+        (ComparisonMode.TARGET_SEARCH, 3, 0),
+        (ComparisonMode.TARGET_SEARCH, 16, 0),
+        (ComparisonMode.TARGET_SEARCH, 31, 1),
+        (ComparisonMode.TARGET_SEARCH, 32, 2),
+        (ComparisonMode.TARGET_SEARCH, 40, 1),
+        (ComparisonMode.TARGET_SEARCH, 64, 1),
+        (ComparisonMode.FAULT_COMPARE, 16, 1),
+        (ComparisonMode.FAULT_COMPARE, 64, 0),
+    ],
+)
+def test_continuation_starts_where_the_first_chunk_left_the_generator(
+    monkeypatch, mode, width, flips
+):
+    # A target plus 8 candidates of width <= 32 draw 9 32-bit halves: the
+    # tenth, the unused high half of the last word, stays in the generator's
+    # buffer and is the first half chunk two draws.
+    # A missing NOT keeps the faulty output off the ideal one at epsilon 0.
+    probs = (0.2, 0.02)[:flips]
+    cfg = _config(
+        circuit=_circuit(width, lossy=False),
+        faults=(Missing(1, 1), *(InputPerturbation(p) for p in probs)),
+        mode=mode,
+        trials=12,
+        max_iterations=20,
+    )
+    _, trial_of = _tracking_trial_rng(monkeypatch)
+    states = {}
+
+    def capturing(cfg, faulty, ideal, rng, invariants=None, resume=None):
+        states[trial_of(rng)] = rng.bit_generator.state
+        return run_trial(cfg, faulty, ideal, rng, invariants, resume)
+
+    monkeypatch.setattr(sampler, "run_trial", capturing)
+    run_experiment(cfg)
+    assert states
+    for t, state in states.items():
+        rng = trial_rng(cfg.seed, t)
+        if mode is ComparisonMode.TARGET_SEARCH:
+            sampler._draw_inputs(rng, 1, width)
+        sampler._draw_inputs(rng, 8, width)
+        for _ in probs:
+            rng.random((8, width))
+        want = rng.bit_generator.state
+        assert state["state"] == want["state"], t
+        # A half that was drawn is dead; only a buffered one is ever read.
+        buffered = mode is ComparisonMode.TARGET_SEARCH and width <= 32
+        assert state["has_uint32"] == want["has_uint32"] == buffered, t
+        if buffered:
+            assert state["uinteger"] == want["uinteger"], t
+
+
+def test_a_pass_never_holds_a_huge_allocation():
+    # 64 flip faults at width 64 draw 32 776 words per trial in round one;
+    # a pass of a fixed 256 trials would hold about 67 MB of them.
+    cfg = _config(
+        circuit=identity_circuit(64),
+        faults=(InputPerturbation(0.01),) * 64,
+        trials=300,
+        max_iterations=100,
+    )
+    tracemalloc.start()
+    try:
+        samples = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(samples) == 300
+    assert peak < 4 * 2**20
 
 
 def test_trial_substreams_are_trial_indexed():
