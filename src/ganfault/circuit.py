@@ -309,8 +309,9 @@ class Circuit:
         return out ^ c0 if c0 else out
 
     @cached_property
-    def _nearest_tables(self) -> tuple[list[tuple[int, int]], ...]:
-        """Per output byte: nearest reachable (distance, value) for each target byte.
+    def _nearest_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per output byte: (distance, value) arrays of the nearest reachable
+        output byte, indexed by target byte.
 
         A pair can produce exactly the values its four truth-table rows hold,
         and pairs are independent, so a byte's table combines the tables of
@@ -325,7 +326,8 @@ class Circuit:
                 pair = [min(((t ^ v).bit_count(), v) for v in image)
                         for t in range(1 << bits)]
                 table = [(d + pd, o | po << shift) for pd, po in pair for d, o in table]
-            tables.append(table)
+            distance, value = zip(*table)
+            tables.append((np.array(distance), np.array(value, dtype=np.uint64)))
         return tuple(tables)
 
     @cached_property
@@ -335,20 +337,22 @@ class Circuit:
         0 exactly when the circuit is a bijection; every target lies within
         this Hamming distance of some output.
         """
-        return sum(max(d for d, _ in table) for table in self._nearest_tables)
+        return sum(int(distance.max()) for distance, _ in self._nearest_tables)
 
-    def nearest(self, target: int) -> tuple[int, int]:
+    def nearest(self, target):
         """Hamming distance from ``target`` to its nearest output, and that output.
 
         Exact over all 2**width inputs: each pair independently takes its
         reachable value nearest the target's two bits, ties going to the
-        smaller value.
+        smaller value.  Works identically for an int (giving numpy scalars)
+        and for an ndarray of uint64 targets (giving arrays), which is what
+        the sampler's unreachable-target screen uses.
         """
         distance = output = 0
-        for i, table in enumerate(self._nearest_tables):
-            d, o = table[(target >> 8 * i) & 0xFF]
-            distance += d
-            output |= o << 8 * i
+        for i, (dist, value) in enumerate(self._nearest_tables):
+            byte = (target >> 8 * i) & 0xFF
+            distance += dist[byte]
+            output |= value[byte] << 8 * i
         return distance, output
 
     def evaluate(self, v: BitVector) -> BitVector:

@@ -14,22 +14,19 @@ thread.  Every candidate is a fresh draw from the trial's own substream;
 no input is carried from one trial to the next, so the samples of an
 experiment are independent.
 
-Round one of a trial is its target and its first chunk of candidates.
-Wherever acceptance is likely, almost every trial accepts there, so
-:func:`run_experiment` settles round one for a pass of trials at once:
-it takes each trial's round-one draws as raw generator words, reads the
-inputs and flip uniforms out of them exactly as numpy's ``integers`` and
-``random`` would, and screens, evaluates and accepts in array operations.
-A trial that round one leaves open (no accept, budget left, target
-reachable) continues in the candidate loop of :func:`run_trial` from its
-second chunk, on its own generator at the point round one left it.  Each
-sample is therefore the one ``run_trial`` returns for that trial alone.
+All trials of a pass walk the chunks of the determinism contract together.
+For each chunk, each open trial draws its words with the generator's
+``random_raw``; the inputs and flip uniforms are read out of them exactly
+as numpy's ``integers`` and ``random`` would draw them, and flips, the
+unreachable-target screen, evaluation and the accept test run as arrays
+over a group of trials.  A trial leaves the pass once settled, so no trial
+continues on its own; :func:`run_trial` is the same loop on one generator.
 
 Unreachable targets are skipped.  Every gate acts inside one aligned bit
 pair, inputs are uniform and flip noise keeps them uniform, so a target
 can be accepted exactly when its distance to the nearest output of the
 faulty circuit is within epsilon.  A target farther away is censored
-before any candidate is drawn: its sample reports the full
+before any candidate is examined: its sample reports the full
 ``max_iterations`` and, as ``re``, that nearest output.  Circuits whose
 every target is within epsilon of an output (``Circuit.covering_radius``)
 skip the check.
@@ -50,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,10 +70,15 @@ _FLIP_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 # below 2**32, so a block never straddles a multiple of 2**32: only the
 # lowest word of its spawn keys varies.
 _SEED_BLOCK = 1024
-# Memory one pass of round one may hold: 8 bytes per raw word (2**15 words
-# at most) plus each trial's generator, kept until the pass ends.
+# Memory a pass may hold: 8 bytes per round-one raw word (2**15 words at
+# most) plus each trial's generator, kept until the pass ends.  One
+# ``random_raw`` call of a group holds at most as many words.
 _PASS_BYTES = 1 << 18
+_PASS_WORDS = _PASS_BYTES // 8
 _GENERATOR_BYTES = 800
+# Kinds of a chunk's draws besides flip uniforms, whose kind is a slice of
+# the flip faults (:func:`_layout`).
+_TARGET, _INPUTS = -2, -1
 # numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -261,211 +264,228 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(words))
 
 
-def _draw_inputs(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
-    if width == 64:
-        high = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-        low = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-        return (high << np.uint64(32)) | low
-    return rng.integers(0, 1 << width, size=n, dtype=np.uint64)
+def _flip_limits(probs: Sequence[float]) -> np.ndarray:
+    """Each flip probability p as the limit ``ceil(p * 2**53)``.
 
-
-def _flip_masks(below: np.ndarray) -> np.ndarray:
-    """Flip masks from per-bit ``draw < p`` outcomes; the last axis is bit 0, 1, ..."""
-    return (below * _FLIP_WEIGHTS[: below.shape[-1]]).sum(axis=-1, dtype=np.uint64)
-
-
-def _perturb_batch(
-    rng: np.random.Generator, values: np.ndarray, width: int, probs: Sequence[float]
-) -> np.ndarray:
-    for p in probs:
-        values = values ^ _flip_masks(rng.random((values.shape[0], width)) < p)
-    return values
-
-
-def _candidate_batches(
-    rng: np.random.Generator, budget: int, width: int, used: int = 0
-):
-    """Fresh chunks of growing size that together fill the budget.
-
-    The chunks holding the first ``used`` candidates, which must end on a
-    chunk boundary, were drawn before and are skipped.
+    numpy's ``random()`` is ``(word >> 11) * 2**-53`` exactly, so a uniform
+    is below p exactly when ``word >> 11`` is below the limit.
     """
-    size, drawn = _CHUNK_FIRST, 0
-    while drawn < budget:
-        n = min(size, budget - drawn)
-        if drawn >= used:
-            yield _draw_inputs(rng, n, width)
-        drawn += n
-        size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
+    return np.array([math.ceil(p * 2.0**53) for p in probs], dtype=np.uint64)
+
+
+def _flip_masks(raw: np.ndarray, width: int, limits: np.ndarray) -> np.ndarray:
+    """The flip masks of a block of flip faults, from their uniforms' raw words.
+
+    Row r of ``raw`` holds, fault by fault, m * width words, candidate by
+    candidate and bit by bit.  The faults' masks commute, so they are
+    returned combined, one per candidate.
+    """
+    words = raw.reshape(len(raw), len(limits), -1, width) >> np.uint64(11)
+    masks = (words < limits[:, None, None]) @ _FLIP_WEIGHTS[:width]
+    return np.bitwise_xor.reduce(masks, axis=1)
+
+
+def _inputs(
+    raw: np.ndarray, width: int, n: int, half: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``n`` inputs per row of ``raw``, read as numpy's ``integers`` draws them.
+
+    Returns the inputs and each row's 32-bit half left buffered (None when
+    no half is left).  For w <= 32 an input is the top w bits of a 32-bit
+    half, the low half of a word first, after ``half``, the half an earlier
+    draw left buffered.  For 33 <= w <= 63 it is the top w bits of a word;
+    at w = 64 a draw takes n high halves, then n low halves.
+    """
+    if 32 < width < 64:
+        return raw >> np.uint64(64 - width), None
+    halves = raw.astype("<u8", copy=False).view("<u4")
+    if width == 64:
+        return (halves[:, :n].astype(np.uint64) << np.uint64(32)) | halves[:, n:], None
+    b = int(half is not None)
+    values = np.empty((len(raw), n), dtype=np.uint64)
+    values[:, b:] = halves[:, : n - b]
+    if b:
+        values[:, 0] = half
+    values >>= np.uint64(32 - width)
+    left = halves[:, -1].astype(np.uint64) if halves.shape[1] > n - b else None
+    return values, left
+
+
+@functools.lru_cache(maxsize=64)
+def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
+    """How each open trial draws one chunk of ``n`` candidates.
+
+    Returns the ``random_raw`` calls, the open trials per group, and whether
+    a 32-bit half is buffered afterwards (``buffered``: before).  A call is
+    its length in words and its segments ``(kind, start, stop, lo, hi)``:
+    words lo..hi hold the target (kind ``_TARGET``), the inputs
+    (``_INPUTS``) or the uniforms of the flip faults in slice ``kind`` for
+    candidates start..stop.  An input of width w <= 32 takes a 32-bit half,
+    a wider one a word (two halves at w = 64), a flip uniform a word.  A
+    call holds at most ``_PASS_WORDS`` words, so a large chunk's flip
+    uniforms come in pieces of whole candidates, and so does a group of
+    trials: rows * max(call words, 2 * n) <= ``_PASS_WORDS``, or one row.
+    """
+    piece = min(n, _PASS_WORDS // width)  # candidates per flip segment
+    per = _PASS_WORDS // (piece * width)  # faults per flip segment
+    draws = [(_TARGET, 0, 1)] if target else []
+    draws.append((_INPUTS, 0, n))
+    draws += [(slice(f, min(f + per, flips)), a, min(a + piece, n))
+              for f in range(0, flips, per) for a in range(0, n, piece)]
+    calls: list[list[tuple]] = []
+    words = 0
+    for kind, start, stop in draws:
+        if isinstance(kind, slice):
+            k = (kind.stop - kind.start) * (stop - start) * width
+        elif width <= 32:
+            k = (stop - buffered + 1) // 2
+            buffered = (stop - buffered) % 2 == 1
+        else:
+            k = stop
+        if not calls or words + k > _PASS_WORDS:
+            calls.append([])
+            words = 0
+        calls[-1].append((kind, start, stop, words, words + k))
+        words += k
+    sized = tuple((call[-1][4], tuple(call)) for call in calls)
+    rows = _PASS_WORDS // max(max(w for w, _ in sized), 2 * n)
+    return sized, max(1, rows), buffered
+
+
+def _pass_trials(cfg: ExperimentConfig) -> int:
+    """Trials per pass: each holds its generator and the raw words of its
+    round one (target, first chunk and that chunk's flip uniforms)."""
+    calls, _, _ = _layout(
+        cfg.width,
+        min(_CHUNK_FIRST, cfg.max_iterations),
+        len(perturbations(cfg.faults)),
+        cfg.mode is ComparisonMode.TARGET_SEARCH,
+        False,
+    )
+    words = sum(w for w, _ in calls)
+    return max(1, _PASS_BYTES // (8 * words + _GENERATOR_BYTES))
 
 
 def _invariants(
     cfg: ExperimentConfig, faulty: Circuit
-) -> tuple[int, tuple[float, ...], str, bool]:
+) -> tuple[int, np.ndarray, str, bool]:
     """What every trial of one experiment shares.
 
-    The accept radius, the flip probabilities, the label, and whether a
-    target search must screen its targets: it need not when every target
-    lies within the accept radius of some output of ``faulty``.
+    The accept radius, the flip limits (:func:`_flip_limits`), the label,
+    and whether a target search must screen its targets: it need not when
+    every target lies within the accept radius of some output of ``faulty``.
     """
     k_allow = max_acceptable_distance(cfg.width, cfg.epsilon)
     screen = (
         cfg.mode is ComparisonMode.TARGET_SEARCH and faulty.covering_radius > k_allow
     )
-    return k_allow, perturbations(cfg.faults), cfg.resolved_label(), screen
+    limits = _flip_limits(perturbations(cfg.faults))
+    return k_allow, limits, cfg.resolved_label(), screen
 
 
-def _round_one_words(cfg: ExperimentConfig) -> int:
-    """Raw PCG64 words a trial's round one draws: target, first chunk, flips.
+def _take(arrays: tuple, index) -> tuple:
+    """Each array's rows at ``index``; a None stays None."""
+    return tuple(None if a is None else a[index] for a in arrays)
 
-    An input of width w <= 32 takes one 32-bit half of a word, a wider one
-    a whole word (two halves at w = 64), and each flip uniform a word.
+
+def _draw(
+    rngs: Sequence[np.random.Generator],
+    calls: tuple,
+    width: int,
+    n: int,
+    limits: np.ndarray,
+    target: np.ndarray | None,
+    half: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+    """One chunk for a group of trials, drawn as :func:`_layout` lays it out.
+
+    Returns each trial's target (drawn in this chunk or passed in), the
+    32-bit half it leaves buffered, its candidates, and its candidates with
+    its flips applied.
     """
-    m = min(_CHUNK_FIRST, cfg.max_iterations)
-    inputs = m + (cfg.mode is ComparisonMode.TARGET_SEARCH)
-    if cfg.width <= 32:
-        inputs = (inputs + 1) // 2
-    return inputs + len(perturbations(cfg.faults)) * m * cfg.width
+    for words, segments in calls:
+        raw = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
+        for kind, start, stop, lo, hi in segments:
+            if kind == _TARGET:
+                target, half = _inputs(raw[:, lo:hi], width, 1, half)
+                target = target[:, 0]
+            elif kind == _INPUTS:
+                gs, half = _inputs(raw[:, lo:hi], width, n, half)
+                flipped = gs.copy() if len(limits) else gs
+            else:
+                flipped[:, start:stop] ^= _flip_masks(raw[:, lo:hi], width, limits[kind])
+    return target, half, gs, flipped
 
 
-def _pass_trials(words: int) -> int:
-    """Trials per pass when each draws ``words`` raw words in round one."""
-    return max(1, _PASS_BYTES // (8 * words + _GENERATOR_BYTES))
-
-
-def _round_one_inputs(
-    raw: np.ndarray, width: int, search: bool, m: int
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray | None]:
-    """Targets, first-chunk candidates and buffered halves of round one.
-
-    Row r of ``raw`` holds trial r's first words, read as numpy's
-    ``integers`` draws them in :func:`_draw_inputs`: for w <= 32 a value is
-    the top w bits of a 32-bit half, the low half of a word first, and an
-    odd half out stays buffered for the next draw; for 33 <= w <= 63 it is
-    the top w bits of a word; at w = 64 each call takes all its high
-    halves, then all its low halves.  The targets are None in
-    fault-compare, the buffered halves None when round one drew an even
-    number of halves.
-    """
-    s = int(search)
-    if 32 < width < 64:
-        values = raw[:, : s + m] >> np.uint64(64 - width)
-        return (values[:, 0] if search else None), values[:, s:], None
-    words = raw[:, : s + m if width == 64 else (s + m + 1) // 2]
-    halves = np.stack([words & _MASK32, words >> 32], axis=-1).reshape(len(raw), -1)
-    if width == 64:
-        target = (halves[:, 0] << 32) | halves[:, 1] if search else None
-        s *= 2
-        gs = (halves[:, s : s + m] << 32) | halves[:, s + m : s + 2 * m]
-        return target, gs, None
-    values = halves >> np.uint64(32 - width)
-    buffered = halves[:, s + m] if (s + m) % 2 else None
-    return (values[:, 0] if search else None), values[:, s : s + m], buffered
-
-
-def _round_one_flips(
-    raw: np.ndarray, values: np.ndarray, width: int, probs: Sequence[float]
-) -> np.ndarray:
-    """``values`` perturbed by the flip uniforms that end each row of ``raw``.
-
-    ``random()`` is ``(raw >> 11) * 2**-53``: one word per uniform, drawn
-    one block per flip fault, candidate by candidate and bit by bit.  The
-    faults' masks commute, so they are applied in one xor.
-    """
-    rows, m = values.shape
-    block = raw[:, raw.shape[1] - len(probs) * m * width :]
-    uniforms = (block.reshape(rows, len(probs), m, width) >> np.uint64(11)) * 2.0**-53
-    below = uniforms < np.array(probs).reshape(-1, 1, 1)
-    return values ^ np.bitwise_xor.reduce(_flip_masks(below), axis=1)
-
-
-def _nearest_arrays(faulty: Circuit) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``faulty``'s per-byte nearest-output tables as (distance, output) arrays."""
-    return [
-        (np.array([d for d, _ in table]),
-         np.array([o for _, o in table], dtype=np.uint64))
-        for table in faulty._nearest_tables
-    ]
-
-
-def _nearest_batch(
-    tables: list[tuple[np.ndarray, np.ndarray]], targets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:meth:`Circuit.nearest` of every target: distances and nearest outputs."""
-    distance = np.zeros(len(targets), dtype=np.int64)
-    nearest = np.zeros_like(targets)
-    for i, (dist, out) in enumerate(tables):
-        byte = (targets >> np.uint64(8 * i)) & np.uint64(0xFF)
-        distance += dist[byte]
-        nearest |= out[byte] << np.uint64(8 * i)
-    return distance, nearest
-
-
-def _settle_round_one(
+def _run_trials(
     cfg: ExperimentConfig,
     faulty: Circuit,
     ideal: Circuit,
-    invariants: tuple[int, tuple[float, ...], str, bool],
-    tables: list[tuple[np.ndarray, np.ndarray]] | None,
-    raw: np.ndarray,
-) -> tuple[list[DeviationSample], list[tuple[int, int | None, int | None]]]:
-    """Round one of every trial of a pass, as array operations.
+    rngs: Sequence[np.random.Generator],
+    invariants: tuple[int, np.ndarray, str, bool],
+) -> list[DeviationSample]:
+    """The sample of each trial, one per fresh generator in ``rngs``.
 
-    Row r of ``raw`` holds trial r's round-one words (:func:`_round_one_words`).
-    Returns each trial's round-one sample and, for every trial round one
-    leaves open, its row, its target (None in fault-compare) and the half
-    its generator must hold buffered (None when there is none).  A trial is
-    settled when a candidate is accepted, when its target is screened out
-    as unreachable, or when the first chunk spends the whole budget.
+    The trials walk the chunks together.  In each chunk every open trial
+    draws its words with ``random_raw`` (:func:`_layout`), and a group of
+    trials at a time is decoded, flipped, screened (first chunk only),
+    evaluated and accepted as arrays.  A trial leaves when it accepts, when
+    its target is screened out or when its budget is spent.  Open trials
+    have drawn the same chunks, so they share each chunk's layout; only the
+    value of a buffered half differs, and it is carried as an array.
     """
-    k_allow, probs, label, screen = invariants
-    eps, budget = cfg.epsilon, cfg.max_iterations
+    k_allow, limits, label, screen = invariants
+    width, eps, budget = cfg.width, cfg.epsilon, cfg.max_iterations
     search = cfg.mode is ComparisonMode.TARGET_SEARCH
-    m = min(_CHUNK_FIRST, budget)
-    target, gs, buffered = _round_one_inputs(raw, cfg.width, search, m)
-    samples = [None] * len(raw)
-    rows = np.arange(len(raw))
-    if screen:
-        distance, nearest = _nearest_batch(tables, target)
-        far = distance > k_allow
-        for r, t, o in zip(
-            rows[far].tolist(), target[far].tolist(), nearest[far].tolist()
-        ):
-            samples[r] = DeviationSample(o << 1, t << 1, budget, False, eps, label)
-        live = ~far
-        rows, raw, target, gs = rows[live], raw[live], target[live], gs[live]
-        buffered = None if buffered is None else buffered[live]
-
-    modulated = faulty.evaluate_batch(
-        _round_one_flips(raw, gs, cfg.width, probs).ravel()
-    ).reshape(gs.shape)
-    if search:
-        reference = target[:, None]
-    else:
-        reference = ideal.evaluate_batch(gs.ravel()).reshape(gs.shape)
-    hits = np.bitwise_count(modulated ^ reference) <= k_allow
-    accepted = hits.any(axis=1)
-    last = np.where(accepted, hits.argmax(axis=1), m - 1)
-    pick = np.arange(len(gs)), last
-    re = modulated[pick]
-    im = target if search else reference[pick]
-    for r, x, y, i, ok in zip(
-        rows.tolist(), re.tolist(), im.tolist(), last.tolist(), accepted.tolist()
-    ):
-        samples[r] = DeviationSample(x << 1, y << 1, i + 1, ok, eps, label)
-    if budget <= m:
-        return samples, []
-    rest = np.flatnonzero(~accepted)
-    targets = target[rest].tolist() if search else [None] * len(rest)
-    halves = [None] * len(rest) if buffered is None else buffered[rest].tolist()
-    return samples, list(zip(rows[rest].tolist(), targets, halves))
-
-
-def _buffer_half(rng: np.random.Generator, half: int) -> None:
-    """Leave ``half`` in ``rng``'s 32-bit buffer, as an odd draw of halves would."""
-    state = rng.bit_generator.state
-    state["has_uint32"], state["uinteger"] = 1, half
-    rng.bit_generator.state = state
+    samples: list = [None] * len(rngs)
+    trials, targets, halves = np.arange(len(rngs)), None, None
+    drawn, size, buffered = 0, _CHUNK_FIRST, False
+    while len(trials):
+        n = min(size, budget - drawn)
+        calls, rows, buffered = _layout(
+            width, n, len(limits), search and not drawn, buffered
+        )
+        kept = []
+        for g in range(0, len(trials), rows):
+            ts, target, half = _take((trials, targets, halves), slice(g, g + rows))
+            gens = [rngs[t] for t in ts.tolist()]
+            target, half, gs, flipped = _draw(
+                gens, calls, width, n, limits, target, half
+            )
+            if screen and not drawn:
+                distance, nearest = faulty.nearest(target)
+                far = distance > k_allow
+                for t, x, y in zip(
+                    ts[far].tolist(), nearest[far].tolist(), target[far].tolist()
+                ):
+                    samples[t] = DeviationSample(x << 1, y << 1, budget, False, eps, label)
+                ts, target, half, gs, flipped = _take(
+                    (ts, target, half, gs, flipped), ~far
+                )
+            modulated = faulty.evaluate_batch(flipped.ravel()).reshape(gs.shape)
+            if search:
+                reference = target[:, None]
+            else:
+                reference = ideal.evaluate_batch(gs.ravel()).reshape(gs.shape)
+            hits = np.bitwise_count(modulated ^ reference) <= k_allow
+            accepted = hits.any(axis=1)
+            settled = accepted | (drawn + n == budget)
+            rs = np.flatnonzero(settled)
+            at = np.where(accepted, hits.argmax(axis=1), n - 1)[rs]
+            re = modulated[rs, at]
+            im = target[rs] if search else reference[rs, at]
+            for t, x, y, i, ok in zip(
+                ts[rs].tolist(), re.tolist(), im.tolist(),
+                (at + drawn + 1).tolist(), accepted[rs].tolist(),
+            ):
+                samples[t] = DeviationSample(x << 1, y << 1, i, ok, eps, label)
+            kept.append(_take((ts, target, half), ~settled))
+        trials, targets, halves = (
+            None if parts[0] is None else np.concatenate(parts) for parts in zip(*kept)
+        )
+        drawn += n
+        size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
+    return samples
 
 
 def run_trial(
@@ -473,60 +493,24 @@ def run_trial(
     faulty: Circuit,
     ideal: Circuit,
     rng: np.random.Generator,
-    invariants: tuple[int, tuple[float, ...], str, bool] | None = None,
-    resume: tuple[int | None, int] | None = None,
 ) -> DeviationSample:
     """Run one rejection-sampling trial and return its deviation sample.
 
     One loop serves both modes; only the reference differs: the drawn
-    target, or ``ideal``'s output on the same inputs.
+    target, or ``ideal``'s output on the same inputs.  ``rng`` must hold no
+    buffered 32-bit half, as a generator from :func:`trial_rng` does; the
+    trial is :func:`run_experiment`'s loop on that one generator, so
+    ``run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))`` is
+    sample t of the experiment.
 
     Budget exhaustion is a data outcome: the sample of the last examined
     candidate is returned with ``accepted=False`` and the full iteration
     count.  A target that no output of ``faulty`` lies within epsilon of
-    is censored at once, without drawing a candidate: its sample carries
+    is censored at once, without examining a candidate: its sample carries
     the nearest output (:meth:`Circuit.nearest`) as ``re`` and the full
-    iteration count.  ``invariants`` lets :func:`run_experiment` derive the
-    per-trial constants once; they are computed when omitted.
-
-    ``resume`` continues a trial whose first candidates were examined
-    elsewhere without an accept: it is the trial's target (None in
-    fault-compare) and the number of candidates examined, a whole number
-    of chunks, and ``rng`` must stand where those draws left it.
+    iteration count.
     """
-    width = cfg.width
-    k_allow, probs, label, screen = invariants or _invariants(cfg, faulty)
-    budget = cfg.max_iterations
-    if resume is None:
-        target, used = None, 0
-        if cfg.mode is ComparisonMode.TARGET_SEARCH:
-            target = int(_draw_inputs(rng, 1, width)[0])
-            if screen:
-                distance, nearest = faulty.nearest(target)
-                if distance > k_allow:
-                    return DeviationSample(
-                        nearest << 1, target << 1, budget, False, cfg.epsilon, label
-                    )
-    else:
-        target, used = resume
-    if target is not None:
-        reference = np.uint64(target)
-
-    re = im = 0
-    accepted = False
-    for gs in _candidate_batches(rng, budget, width, used):
-        modulated = faulty.evaluate_batch(_perturb_batch(rng, gs, width, probs))
-        if target is None:
-            reference = ideal.evaluate_batch(gs)
-        hits = np.nonzero(np.bitwise_count(modulated ^ reference) <= k_allow)[0]
-        accepted = hits.size > 0
-        i = int(hits[0]) if accepted else len(gs) - 1
-        used += i + 1
-        re = int(modulated[i]) << 1
-        im = (int(reference[i]) if target is None else target) << 1
-        if accepted:
-            break
-    return DeviationSample(re, im, used, accepted, cfg.epsilon, label)
+    return _run_trials(cfg, faulty, ideal, [rng], _invariants(cfg, faulty))[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[DeviationSample]:
@@ -534,34 +518,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeviationSample]:
 
     Every trial runs on its own substream (:func:`trial_rng`), so the result
     is a pure function of the configuration.  Trials go in passes that hold
-    at most :data:`_PASS_BYTES` of raw words and generators.  A pass
-    builds each trial's generator, takes its round one (target, first chunk
-    and that chunk's flip uniforms) in one ``random_raw`` call, and settles
-    round one of the whole pass in numpy (:func:`_settle_round_one`).  Each
-    trial that round one leaves unsettled continues in :func:`run_trial`
-    from its second chunk, on its own generator, so every sample is the one
-    ``run_trial`` returns for the trial alone.
+    at most :data:`_PASS_BYTES` of generators and round-one words; a pass
+    builds each trial's generator and runs the chunk loop of
+    :func:`_run_trials` over all of them.
     """
     cfg.validate()
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
     invariants = _invariants(cfg, faulty)
-    tables = _nearest_arrays(faulty) if invariants[3] else None  # screening
-    words = _round_one_words(cfg)
-    per_pass = _pass_trials(words)
+    per_pass = _pass_trials(cfg)
     samples: list[DeviationSample] = []
     for start in range(0, cfg.trials, per_pass):
         rngs = [trial_rng(cfg.seed, t)
                 for t in range(start, min(start + per_pass, cfg.trials))]
-        raw = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
-        batch, unsettled = _settle_round_one(
-            cfg, faulty, ideal, invariants, tables, raw
-        )
-        for j, target, half in unsettled:
-            if half is not None:
-                _buffer_half(rngs[j], half)
-            batch[j] = run_trial(
-                cfg, faulty, ideal, rngs[j], invariants, (target, _CHUNK_FIRST)
-            )
-        samples += batch
+        samples += _run_trials(cfg, faulty, ideal, rngs, invariants)
     return samples

@@ -225,6 +225,11 @@ def test_nearest_matches_brute_force_over_all_inputs():
                     distance, output = c.nearest(t)
                     assert distance == expected
                     assert output in reachable and (output ^ t).bit_count() == distance
+                # All targets as one array take the same code.
+                got, outputs = c.nearest(targets)
+                assert outputs.dtype == np.uint64
+                assert got.tolist() == distances.tolist()
+                assert outputs.tolist() == [c.nearest(t)[1] for t in range(1 << width)]
                 assert c.covering_radius == int(distances.max())
 
 

@@ -26,7 +26,8 @@ from ganfault.faults import (
     parse_fault,
     parse_fault_list,
 )
-from ganfault.sampler import _perturb_batch
+from ganfault import sampler
+from ganfault.sampler import _flip_limits, _flip_masks
 
 from conftest import random_circuit
 
@@ -152,26 +153,38 @@ def test_fault_grammar_rejects(text):
         parse_fault(text)
 
 
+def _flips(raw: np.ndarray, width: int, *probs: float) -> np.ndarray:
+    return _flip_masks(raw, width, _flip_limits(probs))
+
+
 def test_perturb_identity_and_certain_flip():
     rng = np.random.default_rng(0)
     for width in (4, 64):
         ones = (1 << width) - 1
-        values = np.array([0, 0b1010, 0b0110, ones], dtype=np.uint64)
-        assert np.array_equal(_perturb_batch(rng, values, width, (0.0,)), values)
-        assert np.array_equal(
-            _perturb_batch(rng, values, width, (1.0,)), values ^ np.uint64(ones)
-        )
+        values = np.array([[0, 0b1010, 0b0110, ones]], dtype=np.uint64)
+        raw = rng.bit_generator.random_raw((1, 2 * 4 * width))
+        raw[0, :2] = 0, 2**64 - 1  # the smallest and largest uniform
+        first = raw[:, : 4 * width]
+        assert np.array_equal(values ^ _flips(first, width, 0.0), values)
+        assert np.array_equal(values ^ _flips(first, width, 1.0), values ^ np.uint64(ones))
         # Two certain flips cancel.
-        assert np.array_equal(_perturb_batch(rng, values, width, (1.0, 1.0)), values)
+        assert np.array_equal(values ^ _flips(raw, width, 1.0, 1.0), values)
 
 
 def test_perturb_consumes_exactly_width_draws():
-    # Each flip fault draws one uniform per bit of every value in the batch.
+    # Each flip fault draws one uniform per bit of every value in the batch,
+    # value by value, and reads it as numpy's random() does.
+    probs = (0.3, 0.0, 1.0)
+    calls, _, _ = sampler._layout(6, 5, len(probs), False, False)
+    flips = [seg for _, segs in calls for seg in segs if isinstance(seg[0], slice)]
+    assert sum(hi - lo for *_, lo, hi in flips) == 3 * 5 * 6
     a = np.random.default_rng(11)
     b = np.random.default_rng(11)
-    values = np.arange(5, dtype=np.uint64)
-    _perturb_batch(a, values, 6, (0.3, 0.0, 1.0))
-    b.random(3 * 5 * 6)
+    raw = a.bit_generator.random_raw((1, 3 * 5 * 6))
+    below = b.random((3, 5, 6)) < np.array(probs)[:, None, None]
+    weights = np.uint64(1) << np.arange(6, dtype=np.uint64)
+    expected = np.bitwise_xor.reduce((below * weights).sum(axis=2, dtype=np.uint64))
+    assert np.array_equal(_flips(raw, 6, *probs)[0], expected)
     assert a.integers(0, 1 << 30) == b.integers(0, 1 << 30)
 
 
@@ -180,8 +193,8 @@ def test_perturb_mean_hamming_matches_binomial():
     # over 10^4 trials is sqrt(8 * 0.25) / 100.
     rng = np.random.default_rng(2024)
     trials = 10_000
-    values = np.full(trials, BitVector.from_string("10110100").value, dtype=np.uint64)
-    flipped = _perturb_batch(rng, values, 8, (0.5,))
+    values = np.full((trials, 1), BitVector.from_string("10110100").value, dtype=np.uint64)
+    flipped = values ^ _flips(rng.bit_generator.random_raw((trials, 8)), 8, 0.5)
     mean = float(np.bitwise_count(flipped ^ values).mean())
     sigma = math.sqrt(8 * 0.25 / trials)
     assert abs(mean - 4.0) <= 3 * sigma

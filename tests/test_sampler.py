@@ -138,45 +138,25 @@ def test_rerun_reproduces_samples():
     assert run_experiment(cfg) == run_experiment(cfg)
 
 
-def _tracking_trial_rng(monkeypatch):
-    """Log each ``sampler.trial_rng`` call and map each generator to its trial."""
-    calls, issued = [], {}
-
-    def tracking(seed, trial):
-        rng = trial_rng(seed, trial)
-        calls.append(trial)
-        issued[id(rng)] = trial, rng  # holding rng keeps its id unique
-        return rng
-
-    monkeypatch.setattr(sampler, "trial_rng", tracking)
-    return calls, lambda rng: issued[id(rng)][0]
-
-
-def test_run_experiment_looks_up_trial_rng_and_continuation_at_call_time(monkeypatch):
+def test_run_experiment_looks_up_trial_rng_at_call_time(monkeypatch):
     # Span tracing replaces these module globals; a local alias would bypass it.
-    # At epsilon 0 a 4-bit target is hit within the first chunk of 8 about
-    # 40% of the time, so some trials settle there and the rest continue.
     cfg = _config(
         trials=40, seed=5, mode=ComparisonMode.TARGET_SEARCH, max_iterations=200
     )
     expected = run_experiment(cfg)
-    calls, trial_of = _tracking_trial_rng(monkeypatch)
-    continued = []
+    calls = []
 
-    def counting_trial(cfg, faulty, ideal, rng, invariants=None, resume=None):
-        continued.append((trial_of(rng), resume))
-        return run_trial(cfg, faulty, ideal, rng, invariants, resume)
+    def tracking(seed, trial):
+        calls.append(trial)
+        return trial_rng(seed, trial)
 
-    monkeypatch.setattr(sampler, "run_trial", counting_trial)
+    def unused(*args, **kwargs):
+        raise AssertionError("run_experiment entered run_trial")
+
+    monkeypatch.setattr(sampler, "trial_rng", tracking)
+    monkeypatch.setattr(sampler, "run_trial", unused)
     assert run_experiment(cfg) == expected
     assert calls == list(range(cfg.trials))
-    # A trial continues exactly when round one examined its first chunk of 8
-    # without an accept; the continuation resumes after that chunk.
-    unsettled = [
-        (t, (s.im >> 1, 8)) for t, s in enumerate(expected) if s.iterations > 8
-    ]
-    assert continued == unsettled
-    assert 0 < len(unsettled) < cfg.trials
 
 
 def _circuit(width: int, lossy: bool) -> Circuit:
@@ -189,10 +169,58 @@ def _circuit(width: int, lossy: bool) -> Circuit:
     return Circuit(width, layers)
 
 
-def _per_trial(cfg: ExperimentConfig) -> list[DeviationSample]:
+_BIT_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
+
+
+def _draw_inputs(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
+    if width == 64:
+        high = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+        low = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+        return (high << np.uint64(32)) | low
+    return rng.integers(0, 1 << width, size=n, dtype=np.uint64)
+
+
+def _reference_trial(cfg, faulty, ideal, rng, screen=True) -> DeviationSample:
+    """One trial drawn with numpy's ``integers`` and ``random`` in contract order.
+
+    The independent oracle for the sampler, which reads the same draws out
+    of raw generator words.  ``screen=False`` draws every candidate even for
+    a target no output of ``faulty`` lies within epsilon of.
+    """
+    width, eps, budget = cfg.width, cfg.epsilon, cfg.max_iterations
+    k_allow = max_acceptable_distance(width, eps)
+    probs = [f.probability for f in cfg.faults if isinstance(f, InputPerturbation)]
+    label = cfg.resolved_label()
+    target = None
+    if cfg.mode is ComparisonMode.TARGET_SEARCH:
+        target = int(_draw_inputs(rng, 1, width)[0])
+        distance, nearest = faulty.nearest(target)
+        if screen and distance > k_allow:
+            return DeviationSample(int(nearest) << 1, target << 1, budget, False, eps, label)
+    used, size = 0, 8
+    while used < budget:
+        gs = _draw_inputs(rng, min(size, budget - used), width)
+        flipped = gs
+        for p in probs:
+            below = rng.random((len(gs), width)) < p
+            flipped = flipped ^ (below * _BIT_WEIGHTS[:width]).sum(axis=1, dtype=np.uint64)
+        modulated = faulty.evaluate_batch(flipped)
+        reference = ideal.evaluate_batch(gs) if target is None else np.uint64(target)
+        hits = np.flatnonzero(np.bitwise_count(modulated ^ reference) <= k_allow)
+        i = int(hits[0]) if hits.size else len(gs) - 1
+        used += i + 1
+        re = int(modulated[i])
+        im = int(reference[i]) if target is None else target
+        if hits.size:
+            return DeviationSample(re << 1, im << 1, used, True, eps, label)
+        size = min(size * 8, 8192)
+    return DeviationSample(re << 1, im << 1, used, False, eps, label)
+
+
+def _per_trial(cfg: ExperimentConfig, screen: bool = True) -> list[DeviationSample]:
     faulty = inject_all(cfg.circuit, cfg.faults)
     return [
-        run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
+        _reference_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t), screen)
         for t in range(cfg.trials)
     ]
 
@@ -200,10 +228,12 @@ def _per_trial(cfg: ExperimentConfig) -> list[DeviationSample]:
 @pytest.mark.parametrize("width", [*range(1, 17), 20, 31, 32, 33, 40, 63, 64])
 def test_run_experiment_equals_the_per_trial_loop(width):
     # Both modes, 0-2 flip faults, budgets either side of the first chunk of
-    # 8, and lossy circuits, whose unreachable targets are screened out at
-    # low epsilon, next to bijections, which screen nothing.
+    # 8 and up to chunks of 8192, and lossy circuits, whose unreachable
+    # targets are screened out at low epsilon, next to bijections, which
+    # screen nothing.  A target search at width <= 32 leaves a 32-bit half
+    # buffered after round one, so budgets from 9 on check its decoding.
     cases = itertools.product(
-        ComparisonMode, (0, 1, 2), (1, 3, 8, 9, 70, 600), (False, True)
+        ComparisonMode, (0, 1, 2), (1, 3, 8, 9, 70, 600, 5000), (False, True)
     )
     screened = 0
     for i, (mode, flips, budget, lossy) in enumerate(cases):
@@ -216,8 +246,13 @@ def test_run_experiment_equals_the_per_trial_loop(width):
             seed=(width, 2**64 + width, 2**70 + 3)[i % 3],
             max_iterations=budget,
         )
-        screened += sampler._invariants(cfg, inject_all(cfg.circuit, cfg.faults))[3]
-        assert run_experiment(cfg) == _per_trial(cfg), (mode, flips, budget, lossy)
+        faulty = inject_all(cfg.circuit, cfg.faults)
+        screened += sampler._invariants(cfg, faulty)[3]
+        expected = _per_trial(cfg)
+        assert run_experiment(cfg) == expected, (mode, flips, budget, lossy)
+        alone = [run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
+                 for t in range(cfg.trials)]
+        assert alone == expected, (mode, flips, budget, lossy)
     assert screened > 0 or width == 1
 
 
@@ -230,75 +265,24 @@ def test_passes_and_seed_blocks_do_not_change_samples():
         seed=2**64,
         max_iterations=40,
     )
-    per_pass = sampler._pass_trials(sampler._round_one_words(cfg))
+    per_pass = sampler._pass_trials(cfg)
     assert 1 < per_pass < 1023
     for trials in (1, per_pass - 1, per_pass, per_pass + 1, 1023, 1024, 1025, 2049):
         cfg.trials = trials
         assert run_experiment(cfg) == _per_trial(cfg), trials
 
 
-@pytest.mark.parametrize(
-    "mode, width, flips",
-    [
-        (ComparisonMode.TARGET_SEARCH, 3, 0),
-        (ComparisonMode.TARGET_SEARCH, 16, 0),
-        (ComparisonMode.TARGET_SEARCH, 31, 1),
-        (ComparisonMode.TARGET_SEARCH, 32, 2),
-        (ComparisonMode.TARGET_SEARCH, 40, 1),
-        (ComparisonMode.TARGET_SEARCH, 64, 1),
-        (ComparisonMode.FAULT_COMPARE, 16, 1),
-        (ComparisonMode.FAULT_COMPARE, 64, 0),
-    ],
-)
-def test_continuation_starts_where_the_first_chunk_left_the_generator(
-    monkeypatch, mode, width, flips
-):
-    # A target plus 8 candidates of width <= 32 draw 9 32-bit halves: the
-    # tenth, the unused high half of the last word, stays in the generator's
-    # buffer and is the first half chunk two draws.
-    # A missing NOT keeps the faulty output off the ideal one at epsilon 0.
-    probs = (0.2, 0.02)[:flips]
-    cfg = _config(
-        circuit=_circuit(width, lossy=False),
-        faults=(Missing(1, 1), *(InputPerturbation(p) for p in probs)),
-        mode=mode,
-        trials=12,
-        max_iterations=20,
-    )
-    _, trial_of = _tracking_trial_rng(monkeypatch)
-    states = {}
-
-    def capturing(cfg, faulty, ideal, rng, invariants=None, resume=None):
-        states[trial_of(rng)] = rng.bit_generator.state
-        return run_trial(cfg, faulty, ideal, rng, invariants, resume)
-
-    monkeypatch.setattr(sampler, "run_trial", capturing)
-    run_experiment(cfg)
-    assert states
-    for t, state in states.items():
-        rng = trial_rng(cfg.seed, t)
-        if mode is ComparisonMode.TARGET_SEARCH:
-            sampler._draw_inputs(rng, 1, width)
-        sampler._draw_inputs(rng, 8, width)
-        for _ in probs:
-            rng.random((8, width))
-        want = rng.bit_generator.state
-        assert state["state"] == want["state"], t
-        # A half that was drawn is dead; only a buffered one is ever read.
-        buffered = mode is ComparisonMode.TARGET_SEARCH and width <= 32
-        assert state["has_uint32"] == want["has_uint32"] == buffered, t
-        if buffered:
-            assert state["uinteger"] == want["uinteger"], t
-
-
-def test_a_pass_never_holds_a_huge_allocation():
+@pytest.mark.parametrize("trials, budget", [(300, 100), (2, 20_000)])
+def test_a_pass_never_holds_a_huge_allocation(trials, budget):
     # 64 flip faults at width 64 draw 32 776 words per trial in round one;
-    # a pass of a fixed 256 trials would hold about 67 MB of them.
+    # a pass of a fixed 256 trials would hold about 67 MB of them.  No
+    # trial accepts, so at budget 20 000 the trials reach chunks of 8192,
+    # whose flip uniforms take 4 MiB per fault and trial.
     cfg = _config(
         circuit=identity_circuit(64),
         faults=(InputPerturbation(0.01),) * 64,
-        trials=300,
-        max_iterations=100,
+        trials=trials,
+        max_iterations=budget,
     )
     tracemalloc.start()
     try:
@@ -306,7 +290,7 @@ def test_a_pass_never_holds_a_huge_allocation():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(samples) == 300
+    assert len(samples) == trials
     assert peak < 4 * 2**20
 
 
@@ -402,13 +386,9 @@ def test_unreachable_targets_are_censored_without_drawing():
     faulty = inject_all(cfg.circuit, cfg.faults)
     samples = run_experiment(cfg)
     skipped = 0
-    for t, s in enumerate(samples):
+    # The same trials without screening draw every candidate.
+    for s, unscreened in zip(samples, _per_trial(cfg, screen=False)):
         distance, nearest = faulty.nearest(s.im >> 1)
-        # The same trial without screening draws every candidate.
-        unscreened = run_trial(
-            cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t),
-            invariants=(0, (0.1,), s.label, False),
-        )
         if distance > 0:
             skipped += 1
             assert (s.iterations, s.accepted, s.re) == (64, False, nearest << 1)
