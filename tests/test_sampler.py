@@ -272,6 +272,70 @@ def test_passes_and_seed_blocks_do_not_change_samples():
         assert run_experiment(cfg) == _per_trial(cfg), trials
 
 
+@pytest.mark.parametrize(
+    "mode, width, flips",
+    [
+        (ComparisonMode.TARGET_SEARCH, 3, 0),
+        (ComparisonMode.TARGET_SEARCH, 16, 0),
+        (ComparisonMode.TARGET_SEARCH, 31, 1),
+        (ComparisonMode.TARGET_SEARCH, 32, 2),
+        (ComparisonMode.TARGET_SEARCH, 40, 1),
+        (ComparisonMode.TARGET_SEARCH, 64, 1),
+        (ComparisonMode.FAULT_COMPARE, 16, 1),
+        (ComparisonMode.FAULT_COMPARE, 64, 0),
+    ],
+)
+def test_continuation_starts_where_the_first_chunk_left_the_generator(
+    monkeypatch, mode, width, flips
+):
+    # A target plus 8 candidates of width <= 32 draw 9 32-bit halves: the
+    # tenth, the unused high half of the last word, is carried as the
+    # trial's buffered half and is the first half chunk two reads.
+    # A missing NOT keeps the faulty output off the ideal one at epsilon 0.
+    probs = (0.2, 0.02)[:flips]
+    cfg = _config(
+        circuit=_circuit(width, lossy=False),
+        faults=(Missing(1, 1), *(InputPerturbation(p) for p in probs)),
+        mode=mode,
+        trials=12,
+        max_iterations=20,
+    )
+    issued, chunks, second = {}, {}, {}
+
+    def tracking(seed, trial):
+        rng = trial_rng(seed, trial)
+        issued[id(rng)] = trial, rng  # holding rng keeps its id unique
+        return rng
+
+    def capturing(rngs, calls, width, n, limits, target, half):
+        for row, rng in enumerate(rngs):
+            t = issued[id(rng)][0]
+            chunks[t] = chunks.get(t, 0) + 1
+            if chunks[t] == 2:
+                buffered = None if half is None else int(half[row])
+                second[t] = rng.bit_generator.state["state"], buffered
+        return draw(rngs, calls, width, n, limits, target, half)
+
+    draw = sampler._draw
+    monkeypatch.setattr(sampler, "trial_rng", tracking)
+    monkeypatch.setattr(sampler, "_draw", capturing)
+    assert run_experiment(cfg) == _per_trial(cfg)
+    assert second
+    for t, (state, half) in second.items():
+        rng = trial_rng(cfg.seed, t)
+        if mode is ComparisonMode.TARGET_SEARCH:
+            _draw_inputs(rng, 1, width)
+        _draw_inputs(rng, 8, width)
+        for _ in probs:
+            rng.random((8, width))
+        want = rng.bit_generator.state
+        assert state == want["state"], t
+        # A half that was drawn is dead; only a buffered one is ever read.
+        buffered = mode is ComparisonMode.TARGET_SEARCH and width <= 32
+        assert want["has_uint32"] == buffered, t
+        assert half == (want["uinteger"] if buffered else None), t
+
+
 @pytest.mark.parametrize("trials, budget", [(300, 100), (2, 20_000)])
 def test_a_pass_never_holds_a_huge_allocation(trials, budget):
     # 64 flip faults at width 64 draw 32 776 words per trial in round one;
