@@ -3,7 +3,8 @@ Agreement vectors and the pair-energy spectrum
 ==============================================
 
 Each accepted sample yields a vector of per-bit agreements between the
-modulated and reference signals.  Pair energies over the ensemble are
+modulated and reference signals: a BitVector whose bit j is 1 where the
+two signals match.  Pair energies over the ensemble are
 most negative for full agreement (the stable states), and configurations
 sharing an agreement count form manifolds of constant uncertainty whose
 patterns can be checked for completeness against binomial counts.
@@ -26,7 +27,7 @@ from ganfault import (
 a = BitVector.from_string("1010")
 b = BitVector.from_string("1000")
 xi = agreement_vector(a, b)
-print("xi:", xi.xi, " agreement count:", xi.agreement_count)
+print("xi:", xi.bits, " agreement count:", xi.popcount())
 
 # Sample a perturbed identity circuit and build the ensemble from the
 # accepted trials.

@@ -45,7 +45,6 @@ from .sampler import (
     trial_rng,
 )
 from .hopfield import (
-    AgreementVector,
     CompletenessReport,
     EnergySpectrum,
     agreement_vector,

@@ -15,8 +15,9 @@ only prints.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
 1 internal error.  Unknown ``--config`` keys, ``--config`` values of
 another type than their flag produces, ``--workers`` below 1,
-``--min-samples`` below 0 and ``--bins`` / ``--canvas`` outside their
-stated ranges are configuration errors.  Every configuration error is
+``--min-samples`` below 0, ``--bins`` / ``--canvas`` outside their
+stated ranges and a non-empty ``fault`` for ``dataset`` (whose faults come
+from ``--run``) are configuration errors.  Every configuration error is
 caught before ``--out`` is created: each experiment (every grid level of
 a sweep, every ``--run`` of a dataset) passes
 :meth:`ExperimentConfig.validate`, the one check of epsilon, trials,
@@ -320,7 +321,9 @@ def cmd_spectrum(cfg: dict) -> int:
 
 
 def cmd_dataset(cfg: dict) -> int:
-    exp = _experiment_config(dict(cfg, fault=""), "dataset", cfg["eps"])
+    if cfg["fault"]:
+        raise ValueError("dataset takes its faults from --run LABEL=FAULTSPECS, not --fault")
+    exp = _experiment_config(cfg, "dataset", cfg["eps"])
     runs_spec = cfg.get("run") or []
     if not runs_spec:
         raise ValueError("--run LABEL=FAULTSPECS is required for dataset")

@@ -1,23 +1,25 @@
 """Agreement variables and the pair-energy spectrum of sampled ensembles.
 
-For a pair of simulated/expected signals, the agreement vector has
-xi_j = 1 where the bits match and 0 where they deviate.  Over an ensemble
-of P configurations the pair energy of configuration mu and bit
-components (i, j) is
+For a pair of simulated/expected signals, the agreement vector is the
+:class:`BitVector` whose bit j is xi_j = 1 where the signals match and 0
+where they deviate; an ensemble is a sequence of them, indexed by list
+position.  Over an ensemble of P configurations the pair energy of
+configuration mu and bit components (i, j) is
 
     E^mu_ij = -(1 / 2N) * sum_nu (xi^mu_i * xi^nu_j)^2
             = -(1 / 2N) * xi^mu_i * S_j,      S_j = sum_nu xi^nu_j,
 
 the squared form collapsing because xi is binary.  Energies lie in
 [-P/(2N), 0]; full agreement is the most negative (most stable) state.
-Configurations sharing an agreement count k form a manifold of constant
-relative uncertainty 1 - k/N; an ensemble is complete when every manifold
-holds all C(N, k) distinct patterns.
+Configurations sharing an agreement count k (the popcount of their word)
+form a manifold of constant relative uncertainty 1 - k/N; an ensemble is
+complete when every manifold holds all C(N, k) distinct words.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,63 +28,32 @@ import numpy as np
 from .circuit import BitVector
 from .sampler import DeviationSample
 
-#: The completeness check enumerates every manifold, so it stops at 16 bits.
+#: Widest ensemble whose per-manifold completeness rows spectrum.json holds.
 MAX_COMPLETENESS_WIDTH = 16
 
 
-@dataclass(frozen=True)
-class AgreementVector:
-    """Per-bit agreement indicators for one configuration of the ensemble."""
-
-    width: int
-    xi: tuple[int, ...]
-    index: int = 0
-
-    def __post_init__(self) -> None:
-        if len(self.xi) != self.width:
-            raise ValueError(f"width mismatch: {len(self.xi)} bits vs width {self.width}")
-        if any(x not in (0, 1) for x in self.xi):
-            raise ValueError("agreement values must be 0 or 1")
-
-    @property
-    def agreement_count(self) -> int:
-        return sum(self.xi)
-
-    @property
-    def relative_uncertainty(self) -> float:
-        return 1.0 - self.agreement_count / self.width
-
-
-def agreement_vector(
-    simulated: BitVector, expected: BitVector, index: int = 0
-) -> AgreementVector:
+def agreement_vector(simulated: BitVector, expected: BitVector) -> BitVector:
     """xi_j = 1 iff simulated and expected agree at position j."""
     if simulated.width != expected.width:
         raise ValueError(f"width mismatch: {simulated.width} vs {expected.width}")
     return agreement_from_deviation(
-        simulated.value << 1, expected.value << 1, simulated.width, index
+        simulated.value << 1, expected.value << 1, simulated.width
     )
 
 
-def agreement_from_deviation(re: int, im: int, width: int, index: int = 0) -> AgreementVector:
+def agreement_from_deviation(re: int, im: int, width: int) -> BitVector:
     """Agreement vector recovered from an encoded (re, im) deviation point."""
-    agree = ~(re ^ im)
-    xi = tuple((agree >> j) & 1 for j in range(1, width + 1))
-    return AgreementVector(width, xi, index)
+    return BitVector(width, ~(re ^ im) >> 1 & ((1 << width) - 1))
 
 
 def ensemble_from_samples(
     samples: Iterable[DeviationSample], width: int
-) -> list[AgreementVector]:
-    """Agreement vectors of the accepted samples, indexed in sample order."""
-    out = []
-    for sample in samples:
-        if sample.accepted:
-            out.append(agreement_from_deviation(sample.re, sample.im, width, len(out)))
-    return out
+) -> list[BitVector]:
+    """Agreement vectors of the accepted samples, in sample order."""
+    return [agreement_from_deviation(s.re, s.im, width) for s in samples if s.accepted]
 
 
-def _check_ensemble(ensemble: Sequence[AgreementVector]) -> int:
+def _check_ensemble(ensemble: Sequence[BitVector]) -> int:
     if not ensemble:
         raise ValueError("ensemble is empty")
     width = ensemble[0].width
@@ -91,8 +62,13 @@ def _check_ensemble(ensemble: Sequence[AgreementVector]) -> int:
     return width
 
 
+def _distinct_per_manifold(ensemble: Sequence[BitVector]) -> Counter:
+    """Number of distinct words of each agreement count k."""
+    return Counter(v.bit_count() for v in {a.value for a in ensemble})
+
+
 def pair_energy(
-    ensemble: Sequence[AgreementVector], mu: int, i: int, j: int
+    ensemble: Sequence[BitVector], mu: int, i: int, j: int
 ) -> float:
     """Pair energy of configuration mu and components (i, j), 1-based i, j."""
     width = _check_ensemble(ensemble)
@@ -100,8 +76,8 @@ def pair_energy(
         raise ValueError(f"index mu={mu} out of range 0..{len(ensemble) - 1}")
     if not (1 <= i <= width and 1 <= j <= width):
         raise ValueError(f"index (i={i}, j={j}) out of range 1..{width}")
-    total = sum(a.xi[j - 1] for a in ensemble)
-    return -(ensemble[mu].xi[i - 1] * total) / (2 * width)
+    total = sum(a.bit(j) for a in ensemble)
+    return -(ensemble[mu].bit(i) * total) / (2 * width)
 
 
 @dataclass(frozen=True)
@@ -130,21 +106,22 @@ class EnergySpectrum:
         return -self.size / (2 * self.width)
 
 
-def spectrum(ensemble: Sequence[AgreementVector]) -> EnergySpectrum:
+def spectrum(ensemble: Sequence[BitVector]) -> EnergySpectrum:
     """Group an ensemble into manifolds and summarize their pair energies."""
     width = _check_ensemble(ensemble)
-    size = len(ensemble)
-    xi = np.array([a.xi for a in ensemble], dtype=np.int64)
-    col_sums = xi.sum(axis=0)
-    counts = xi.sum(axis=1)
+    words = np.array([a.value for a in ensemble], dtype=np.uint64)
+    bits = words[:, None] >> np.arange(width, dtype=np.uint64)
+    bits &= 1
+    col_sums = bits.sum(axis=0)
     sum_all = int(col_sums.sum())
     max_col = int(col_sums.max())
     min_col = int(col_sums.min())
     denom = 2 * width
+    members = Counter(a.popcount() for a in ensemble)
+    distinct = _distinct_per_manifold(ensemble)
 
     manifolds: dict[int, ManifoldStats] = {}
-    for k in sorted(set(int(c) for c in counts)):
-        rows = xi[counts == k]
+    for k in sorted(members):
         if k == 0:
             min_e = max_e = mean_e = 0.0
         else:
@@ -153,13 +130,13 @@ def spectrum(ensemble: Sequence[AgreementVector]) -> EnergySpectrum:
             mean_e = -(k * sum_all) / (width * width * denom)
         manifolds[k] = ManifoldStats(
             agreement_count=k,
-            degeneracy=len(rows),
-            distinct_patterns=len(set(map(bytes, rows))),
+            degeneracy=members[k],
+            distinct_patterns=distinct[k],
             min_energy=min_e,
             max_energy=max_e,
             mean_energy=mean_e,
         )
-    return EnergySpectrum(size, width, manifolds)
+    return EnergySpectrum(len(ensemble), width, manifolds)
 
 
 @dataclass(frozen=True)
@@ -184,25 +161,23 @@ class CompletenessReport:
 
 
 def completeness_check(
-    width: int, ensemble: Sequence[AgreementVector]
+    width: int, ensemble: Sequence[BitVector]
 ) -> CompletenessReport:
-    """Compare observed distinct patterns per manifold against C(N, k).
+    """Compare observed distinct words per manifold against C(N, k).
 
-    Exhaustive by construction, so widths above MAX_COMPLETENESS_WIDTH fail.
+    Widths outside 1..MAX_COMPLETENESS_WIDTH raise ValueError.
     """
-    if width > MAX_COMPLETENESS_WIDTH:
+    if not 1 <= width <= MAX_COMPLETENESS_WIDTH:
         raise ValueError(
-            f"completeness check is exhaustive; width {width} > {MAX_COMPLETENESS_WIDTH}"
+            f"completeness width must be in [1, {MAX_COMPLETENESS_WIDTH}], got {width}"
         )
     if ensemble:
         found = _check_ensemble(ensemble)
         if found != width:
             raise ValueError(f"width mismatch: ensemble has {found}, expected {width}")
-    seen: dict[int, set[tuple[int, ...]]] = {k: set() for k in range(width + 1)}
-    for a in ensemble:
-        seen[a.agreement_count].add(a.xi)
+    distinct = _distinct_per_manifold(ensemble)
     rows = tuple(
-        ManifoldCompleteness(k, len(seen[k]), math.comb(width, k))
+        ManifoldCompleteness(k, distinct[k], math.comb(width, k))
         for k in range(width + 1)
     )
     return CompletenessReport(width, rows)

@@ -1,6 +1,8 @@
-"""Shared generators for randomized property tests."""
+"""Shared helpers: generators for randomized property tests, subprocess environment."""
 
+import os
 import random
+from pathlib import Path
 
 from ganfault.circuit import Circuit, GateKind, GateSlot, Layer
 
@@ -30,3 +32,10 @@ def random_circuit(rng: random.Random, width: int | None = None) -> Circuit:
         width = rng.randint(1, 16)
     n_layers = rng.randint(1, 3)
     return Circuit(width, [random_layer(rng, width) for _ in range(n_layers)])
+
+
+def src_env() -> dict[str, str]:
+    """The environment with src/ first on PYTHONPATH, for subprocesses."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}

@@ -33,7 +33,7 @@ from ganfault.circuit import (
 )
 from ganfault.cli import main as cli_main
 from ganfault.faults import InputPerturbation, ReversedPolarity, Swap
-from ganfault.hopfield import AgreementVector, pair_energy, spectrum
+from ganfault.hopfield import pair_energy, spectrum
 from ganfault.netlist import NetlistError, parse_netlist, serialize_netlist
 from ganfault.sampler import ComparisonMode, ExperimentConfig, run_experiment
 
@@ -201,8 +201,7 @@ def test_criterion_6_hopfield_properties():
             simplified = xi[:, :, None] * xi.sum(axis=0)[None, None, :]
             assert (quadratic == simplified).all()
             floor = -p / (2 * n)
-            ens = [AgreementVector(n, tuple(int(b) for b in row), i)
-                   for i, row in enumerate(xi)]
+            ens = [BitVector.from_bits(int(b) for b in row) for row in xi]
             mu = rng.randrange(p)
             i = rng.randint(1, n)
             j = rng.randint(1, n)
@@ -213,7 +212,7 @@ def test_criterion_6_hopfield_properties():
         # Exhaustive width-4 ensemble: manifold degeneracies are the
         # binomial coefficients.
         rows = [[(v >> b) & 1 for b in range(4)] for v in range(16)]
-        spec = spectrum([AgreementVector(4, tuple(r), i) for i, r in enumerate(rows)])
+        spec = spectrum([BitVector.from_bits(r) for r in rows])
         assert [spec.manifolds[k].degeneracy for k in range(5)] == [1, 4, 6, 4, 1]
         assert [spec.manifolds[k].distinct_patterns for k in range(5)] == [1, 4, 6, 4, 1]
 

@@ -11,6 +11,8 @@ from ganfault.circuit import Circuit, GateKind, unary_layer
 from ganfault.cli import MAX_BINS, MAX_CANVAS, MAX_GRID_LEVELS, _grid, main
 from ganfault.netlist import serialize_netlist
 
+from conftest import src_env
+
 
 @pytest.fixture
 def not8_ckt(tmp_path):
@@ -270,10 +272,23 @@ def test_dataset_requires_runs(not8_ckt, tmp_path, capsys):
     assert "--run" in capsys.readouterr().err
 
 
+def test_dataset_fault_in_config_exits_2(not8_ckt, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"fault": "missing:L1.S1", "run": ["a="]}))
+    out = tmp_path / "o"
+    code = main([
+        "dataset", "--ckt", str(not8_ckt), "--eps", "0.5", "--trials", "50",
+        "--seed", "1", "--config", str(config), "--out", str(out),
+    ])
+    assert code == 2
+    assert "from --run LABEL=FAULTSPECS, not --fault" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_module_entry_point(not4_ckt):
     proc = subprocess.run(
         [sys.executable, "-m", "ganfault", "table1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0
     assert "AND-XOR vs XOR-AND" in proc.stdout
@@ -418,6 +433,8 @@ def test_bad_tau_exits_2_before_sampling(tau, not4_ckt, tmp_path, monkeypatch, c
     ("simulate", ["--fault", "missing:L9.S1"], "slot: layer 9 out of range"),
     ("dataset", ["--run", "bad"], "run entry must be LABEL=FAULTSPECS, got 'bad'"),
     ("dataset", ["--run", "a=swap:L1.S1:and"], "arity mismatch"),
+    ("dataset", ["--fault", "missing:L1.S1", "--run", "a="],
+     "from --run LABEL=FAULTSPECS, not --fault"),
     ("sweep", ["--min-samples", "-1"], "--min-samples must be >= 0, got -1"),
     ("simulate", ["--ckt", ""], "--ckt is required for simulate"),
 ])

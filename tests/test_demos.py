@@ -5,13 +5,14 @@ Demo artifacts go to demos/output/.
 
 import contextlib
 import io
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
@@ -23,11 +24,8 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    src = str(ROOT / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env,
+        [sys.executable, str(script)], cwd=ROOT, env=src_env(),
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from ganfault.circuit import BitVector, identity_circuit
+from ganfault.circuit import BitVector, decode_int, identity_circuit
 from ganfault.faults import InputPerturbation
 from ganfault.hopfield import (
-    AgreementVector,
     agreement_from_deviation,
     agreement_vector,
     completeness_check,
@@ -14,43 +13,46 @@ from ganfault.hopfield import (
     pair_energy,
     spectrum,
 )
-from ganfault.sampler import ExperimentConfig, run_experiment
+from ganfault.sampler import ExperimentConfig, relative_uncertainty, run_experiment
 
 
 def test_agreement_vector_examples():
     v = BitVector.from_string("1010")
-    assert agreement_vector(v, v).xi == (1, 1, 1, 1)
-    assert agreement_vector(v, v.complement()).xi == (0, 0, 0, 0)
-    a = agreement_vector(v, BitVector.from_string("1000"))
-    assert a.xi == (1, 1, 0, 1)
-    assert a.agreement_count == 3
-    assert a.relative_uncertainty == 0.25
+    assert agreement_vector(v, v).bits == (1, 1, 1, 1)
+    assert agreement_vector(v, v.complement()).bits == (0, 0, 0, 0)
+    w = BitVector.from_string("1000")
+    a = agreement_vector(v, w)
+    assert a == BitVector.from_string("1101")
+    assert a.popcount() == 3
+    assert relative_uncertainty(v, w) == 1 - a.popcount() / a.width == 0.25
     with pytest.raises(ValueError, match="width"):
         agreement_vector(v, BitVector.from_string("10"))
 
 
 def test_agreement_from_deviation_matches_bit_form():
+    # ~(re ^ im) is a negative int, so the mask alone cuts it to width bits;
+    # 33, 63 and 64 sit at the 32- and 64-bit word edges.
     rng = random.Random(0)
-    for _ in range(200):
-        n = rng.randint(1, 16)
+    widths = [rng.randint(1, 64) for _ in range(200)] + list(range(1, 17)) + [33, 63, 64]
+    for n in widths:
         x = BitVector(n, rng.randrange(1 << n))
         y = BitVector(n, rng.randrange(1 << n))
+        oracle = tuple(int(a == b) for a, b in zip(x.bits, y.bits))
         direct = agreement_vector(x, y)
         via = agreement_from_deviation(x.value << 1, y.value << 1, n)
-        assert direct.xi == via.xi
+        assert direct == via
+        assert via.bits == oracle
+    assert agreement_from_deviation(0, 0, 64) == BitVector(64, (1 << 64) - 1)
 
 
-def _ensemble(rows, index0=0):
-    return [
-        AgreementVector(len(row), tuple(row), index=index0 + i)
-        for i, row in enumerate(rows)
-    ]
+def _ensemble(rows):
+    return [BitVector.from_bits(row) for row in rows]
 
 
 def _pair_energy_quadratic(ensemble, mu, i, j):
     """E^mu_ij as the literal squared-product sum -(1/2N) sum_nu (xi^mu_i xi^nu_j)^2."""
     width = ensemble[0].width
-    total = sum((ensemble[mu].xi[i - 1] * a.xi[j - 1]) ** 2 for a in ensemble)
+    total = sum((ensemble[mu].bits[i - 1] * a.bits[j - 1]) ** 2 for a in ensemble)
     return -total / (2 * width)
 
 
@@ -134,7 +136,7 @@ def test_spectrum_empty_ensemble():
     with pytest.raises(ValueError):
         spectrum([])
     with pytest.raises(ValueError, match="width"):
-        spectrum(_ensemble([(1, 0)]) + _ensemble([(1, 0, 1)], index0=1))
+        spectrum(_ensemble([(1, 0), (1, 0, 1)]))
 
 
 def test_spectrum_stats_match_brute_force():
@@ -151,7 +153,7 @@ def test_spectrum_stats_match_brute_force():
                 for i in range(1, n + 1)
                 for j in range(1, n + 1)
             ]
-            by_k.setdefault(a.agreement_count, []).extend(values)
+            by_k.setdefault(a.popcount(), []).extend(values)
         for k, values in by_k.items():
             m = spec.manifolds[k]
             assert m.min_energy == min(values)
@@ -174,13 +176,35 @@ def test_completeness_exhaustive_and_gapped():
 
 
 def test_completeness_width_one():
-    report = completeness_check(1, _ensemble([(0,)]) + _ensemble([(1,)], index0=1))
+    report = completeness_check(1, _ensemble([(0,), (1,)]))
     assert report.complete
 
 
 def test_completeness_rejects_wide_ensembles():
-    with pytest.raises(ValueError):
-        completeness_check(17, [])
+    for width in (-1, 0, 17):
+        with pytest.raises(ValueError, match="width"):
+            completeness_check(width, [])
+
+
+def test_distinct_patterns_match_brute_force():
+    rng = random.Random(4)
+    for _ in range(200):
+        n = rng.randint(1, 16)
+        p = rng.randint(1, 40)
+        # Few distinct words, so that repeats within a manifold are common.
+        pool = [rng.randrange(1 << n) for _ in range(rng.randint(1, 12))]
+        ens = [BitVector(n, rng.choice(pool)) for _ in range(p)]
+        patterns: dict[int, set] = {}
+        for a in ens:
+            patterns.setdefault(sum(a.bits), set()).add(a.bits)
+        spec = spectrum(ens)
+        assert {k: m.distinct_patterns for k, m in spec.manifolds.items()} == {
+            k: len(v) for k, v in patterns.items()
+        }
+        report = completeness_check(n, ens)
+        assert [m.observed for m in report.manifolds] == [
+            len(patterns.get(k, ())) for k in range(n + 1)
+        ]
 
 
 def test_ensemble_from_samples_uses_accepted_only():
@@ -194,7 +218,9 @@ def test_ensemble_from_samples_uses_accepted_only():
     )
     samples = run_experiment(cfg)
     ens = ensemble_from_samples(samples, 4)
-    assert len(ens) == sum(1 for s in samples if s.accepted)
-    assert [a.index for a in ens] == list(range(len(ens)))
-    for a in ens:
-        assert a.relative_uncertainty <= 0.5
+    accepted = [s for s in samples if s.accepted]
+    assert len(ens) == len(accepted)
+    for a, s in zip(ens, accepted):
+        sim, exp = decode_int(s.re, 4), decode_int(s.im, 4)
+        assert a == agreement_vector(sim, exp)
+        assert relative_uncertainty(sim, exp) <= 0.5
