@@ -19,6 +19,12 @@ all four truth-table rows of every pair at once.  They give the masks C0,
 SELF, SWAP and AND, which evaluate any input in a few word operations, and
 each pair's image, from which :meth:`Circuit.nearest` finds the output
 nearest any target exactly.
+
+Because no term leaves its pair, the same masks moved up by s bits
+evaluate an input held s bits up in a wider lane, whatever the bits below
+it hold: the result is the output moved up by s, with zeros below.  The
+sampler evaluates its random draws that way, in the 32- or 64-bit lanes
+they were drawn in (``shift`` of :meth:`Circuit.evaluate_packed`).
 """
 
 from __future__ import annotations
@@ -287,17 +293,33 @@ class Circuit:
         assert and_mask == and_low | (and_low << 1)
         return full, y0, (da & lo) | (db & hi), db & lo, (da & hi) >> 1, and_low
 
-    def evaluate_packed(self, value):
-        """Evaluate on a packed integer (or numpy uint64 array) of bits.
+    def _masks(self, shift: int) -> tuple[int, ...]:
+        """:attr:`_form`'s masks for inputs held ``shift`` bits up their lane.
+
+        Every term stays inside its pair, so moving all masks up by the same
+        offset moves the map with them, and the masks leave the bits below
+        the offset out.  ``full``, the bits an input may hold unmasked, is 0
+        at a non-zero offset, where the bits below the input may be set.
+        """
+        full, *masks = self._form
+        return (0 if shift else full, *(m << shift for m in masks))
+
+    def evaluate_packed(self, value, shift: int = 0, xor=None):
+        """Evaluate on a packed integer (or numpy array of unsigned lanes).
 
         Works identically for a Python int and for an ndarray of dtype
-        uint64, which is what the sampler's batched rejection loop uses;
-        ``value`` must fit in ``width`` bits.  Output bit x with partner y
-        is ``C0 ^ (x & SELF) ^ (y & SWAP) ^ (x & y & AND)``, exact for every
+        uint64 or uint32, which is what the sampler's batched rejection loop
+        uses.  With ``shift`` 0, ``value`` must fit in ``width`` bits.  With
+        ``shift`` s, ``value`` holds the input in bits s..s+width-1 of its
+        lane and anything below; the output is then the output at shift 0
+        moved up by s, with zeros below.  Output bit x with partner y is
+        ``C0 ^ (x & SELF) ^ (y & SWAP) ^ (x & y & AND)``, exact for every
         pair (see the module docstring), so the cost does not grow with
-        depth.  Zero terms are skipped: the identity returns ``value``.
+        depth.  ``xor``, when given, is XORed into the output with the
+        constant C0.  Zero terms are skipped: at shift 0 the identity returns
+        ``value``.
         """
-        full, c0, keep, down, up, pair_and = self._form
+        full, c0, keep, down, up, pair_and = self._masks(shift)
         terms = [value if keep == full else value & keep] if keep else []
         if down:
             terms.append((value >> 1) & down)
@@ -306,6 +328,8 @@ class Circuit:
         if pair_and:  # a & b lands on each low bit; * 3 copies it to the high bit
             terms.append((value & (value >> 1) & pair_and) * 3)
         out = reduce(operator.xor, terms) if terms else value & 0
+        if xor is not None:
+            return out ^ (xor ^ c0)
         return out ^ c0 if c0 else out
 
     @cached_property
@@ -363,9 +387,21 @@ class Circuit:
             )
         return BitVector(self.width, int(self.evaluate_packed(v.value)))
 
-    def evaluate_batch(self, values: np.ndarray) -> np.ndarray:
-        """Evaluate on an array of packed inputs, dtype uint64."""
-        return self.evaluate_packed(values.astype(np.uint64, copy=False))
+    def evaluate_batch(
+        self, values: np.ndarray, shift: int = 0, xor: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Evaluate on a flat array of packed inputs, as :meth:`evaluate_packed`.
+
+        ``values`` are uint32 lanes, or are read as uint64.  With ``xor``, an
+        array of one value per row, ``values`` hold ``len(xor)`` rows of
+        equal length, and each row's outputs come XORed with its value, as
+        an array of shape (rows, inputs per row).
+        """
+        if values.dtype != np.uint32:
+            values = values.astype(np.uint64, copy=False)
+        if xor is not None:
+            values, xor = values.reshape(len(xor), -1), xor[:, None]
+        return self.evaluate_packed(values, shift, xor)
 
     def slot_at(self, layer_index: int, position: int) -> GateSlot:
         """Slot whose lowest covered position is ``position`` (1-based layer)."""

@@ -96,10 +96,15 @@ _RANGES = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *, needs_ckt: bool = True) -> None:
+def _add_common(
+    p: argparse.ArgumentParser,
+    *,
+    needs_ckt: bool = True,
+    fault_help: str = "comma-separated fault specs",
+) -> None:
     if needs_ckt:
         p.add_argument("--ckt", help="circuit netlist file (.ckt)")
-    p.add_argument("--fault", help="comma-separated fault specs")
+    p.add_argument("--fault", help=fault_help)
     p.add_argument("--trials", type=int, help="number of trials per experiment")
     p.add_argument("--seed", type=int, help="base RNG seed (required)")
     p.add_argument("--mode", choices=["fault-compare", "target-search"])
@@ -140,12 +145,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--eps", type=float, help="uncertainty level in [0, 1]")
 
-    p = sub.add_parser("dataset", help="labeled PGM histograms + manifest")
-    _add_common(p)
+    p = sub.add_parser(
+        "dataset", help="labeled PGM histograms + manifest",
+        description="One labeled PGM histogram per --run.  The faults of each "
+                    "image come from its --run LABEL=FAULTSPECS entry.",
+    )
+    # --fault stays accepted, and unlisted, so that a non-empty value gets the
+    # clear error of cmd_dataset rather than argparse's.
+    _add_common(p, fault_help=argparse.SUPPRESS)
     p.add_argument("--eps", type=float, help="uncertainty level in [0, 1]")
     p.add_argument("--bins", type=int, help=f"histogram grid size, 1..{MAX_BINS}")
-    p.add_argument("--run", action="append",
-                   help="LABEL=FAULTSPECS entry; repeatable")
+    p.add_argument("--run", action="append", metavar="LABEL=FAULTSPECS",
+                   help="the label and faults of one image; repeatable")
 
     return parser
 

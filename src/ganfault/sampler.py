@@ -22,6 +22,17 @@ unreachable-target screen, evaluation and the accept test run as arrays
 over a group of trials.  A trial leaves the pass once settled, so no trial
 continues on its own; :func:`run_trial` is the same loop on one generator.
 
+Inputs narrower than 64 bits are not decoded.  An input of w <= 32 bits
+is the top w bits of a 32-bit half of a raw word, one of 33..63 bits the
+top w bits of a word, so each stays in that lane (:func:`_lane`),
+``lane - w`` bits up, with random bits below it.  Every gate acts inside
+one bit pair, so the circuit evaluates there with its masks moved up as
+far (:meth:`Circuit.evaluate_batch`); the target and the flip masks move
+up with them, a target search folds its target into the circuit's
+constant term, and the accept test reads the lanes as they are.  Only
+settled outputs and the first chunk's screen shift back down.  Width 64
+fills its lane; its inputs are assembled from a high and a low half.
+
 Unreachable targets are skipped.  Every gate acts inside one aligned bit
 pair, inputs are uniform and flip noise keeps them uniform, so a target
 can be accepted exactly when its distance to the nearest output of the
@@ -72,7 +83,8 @@ _FLIP_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _SEED_BLOCK = 1024
 # Memory a pass may hold: 8 bytes per round-one raw word (2**15 words at
 # most) plus each trial's generator, kept until the pass ends.  One
-# ``random_raw`` call of a group holds at most as many words.
+# ``random_raw`` call of a group holds at most as many words, and the
+# pass's buffer of 32-bit lanes (:func:`_inputs`) half as many bytes.
 _PASS_BYTES = 1 << 18
 _PASS_WORDS = _PASS_BYTES // 8
 _GENERATOR_BYTES = 800
@@ -273,41 +285,50 @@ def _flip_limits(probs: Sequence[float]) -> np.ndarray:
     return np.array([math.ceil(p * 2.0**53) for p in probs], dtype=np.uint64)
 
 
-def _flip_masks(raw: np.ndarray, width: int, limits: np.ndarray) -> np.ndarray:
+def _lane(width: int) -> int:
+    """Bits of the raw lane an input of ``width`` bits is drawn and evaluated in."""
+    return 32 if width <= 32 else 64
+
+
+def _flip_masks(
+    raw: np.ndarray, width: int, limits: np.ndarray, shift: int
+) -> np.ndarray:
     """The flip masks of a block of flip faults, from their uniforms' raw words.
 
     Row r of ``raw`` holds, fault by fault, m * width words, candidate by
     candidate and bit by bit.  The faults' masks commute, so they are
-    returned combined, one per candidate.
+    returned combined, one per candidate, ``shift`` bits up.
     """
     words = raw.reshape(len(raw), len(limits), -1, width) >> np.uint64(11)
-    masks = (words < limits[:, None, None]) @ _FLIP_WEIGHTS[:width]
+    masks = (words < limits[:, None, None]) @ _FLIP_WEIGHTS[shift : shift + width]
     return np.bitwise_xor.reduce(masks, axis=1)
 
 
 def _inputs(
-    raw: np.ndarray, width: int, n: int, half: np.ndarray | None
+    raw: np.ndarray, width: int, n: int, half: np.ndarray | None, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """``n`` inputs per row of ``raw``, read as numpy's ``integers`` draws them.
+    """``n`` inputs per row of ``raw``, left-aligned in their lanes (:func:`_lane`).
 
-    Returns the inputs and each row's 32-bit half left buffered (None when
-    no half is left).  For w <= 32 an input is the top w bits of a 32-bit
-    half, the low half of a word first, after ``half``, the half an earlier
-    draw left buffered.  For 33 <= w <= 63 it is the top w bits of a word;
-    at w = 64 a draw takes n high halves, then n low halves.
+    Returns the inputs, as numpy's ``integers`` draws them but ``lane -
+    width`` bits up, and each row's 32-bit half left buffered (None when no
+    half is left).  For w <= 32 an input is the top w bits of a 32-bit half,
+    the low half of a word first, after ``half``, the half an earlier draw
+    left buffered; the halves are read in place, or copied behind ``half``
+    into ``out``, a (rows, n) buffer.  For 33 <= w <= 63 an input is the top
+    w bits of a word; at w = 64 a draw takes n high halves, then n low halves.
     """
     if 32 < width < 64:
-        return raw >> np.uint64(64 - width), None
+        return raw, None
     halves = raw.astype("<u8", copy=False).view("<u4")
     if width == 64:
         return (halves[:, :n].astype(np.uint64) << np.uint64(32)) | halves[:, n:], None
-    b = int(half is not None)
-    values = np.empty((len(raw), n), dtype=np.uint64)
-    values[:, b:] = halves[:, : n - b]
-    if b:
+    if half is None:
+        values = halves[:, :n]
+    else:
+        values = out
         values[:, 0] = half
-    values >>= np.uint64(32 - width)
-    left = halves[:, -1].astype(np.uint64) if halves.shape[1] > n - b else None
+        values[:, 1:] = halves[:, : n - 1]
+    left = halves[:, -1].copy() if halves.shape[1] > n - (half is not None) else None
     return values, left
 
 
@@ -324,7 +345,8 @@ def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
     a wider one a word (two halves at w = 64), a flip uniform a word.  A
     call holds at most ``_PASS_WORDS`` words, so a large chunk's flip
     uniforms come in pieces of whole candidates, and so does a group of
-    trials: rows * max(call words, 2 * n) <= ``_PASS_WORDS``, or one row.
+    trials: rows * max(call words, words of two arrays of n lanes) <=
+    ``_PASS_WORDS``, or one row.
     """
     piece = min(n, _PASS_WORDS // width)  # candidates per flip segment
     per = _PASS_WORDS // (piece * width)  # faults per flip segment
@@ -348,7 +370,7 @@ def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
         calls[-1].append((kind, start, stop, words, words + k))
         words += k
     sized = tuple((call[-1][4], tuple(call)) for call in calls)
-    rows = _PASS_WORDS // max(max(w for w, _ in sized), 2 * n)
+    rows = _PASS_WORDS // max(max(w for w, _ in sized), n * _lane(width) // 32)
     return sized, max(1, rows), buffered
 
 
@@ -396,24 +418,32 @@ def _draw(
     limits: np.ndarray,
     target: np.ndarray | None,
     half: np.ndarray | None,
+    out: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
     """One chunk for a group of trials, drawn as :func:`_layout` lays it out.
 
     Returns each trial's target (drawn in this chunk or passed in), the
     32-bit half it leaves buffered, its candidates, and its candidates with
-    its flips applied.
+    its flips applied, all left-aligned in their lanes (:func:`_inputs`,
+    which may hold the candidates in ``out``); only the target has its
+    bits below cleared.
     """
+    shift = _lane(width) - width
     for words, segments in calls:
-        raw = np.stack([rng.bit_generator.random_raw(words) for rng in rngs])
+        raw = np.concatenate(
+            [rng.bit_generator.random_raw(words) for rng in rngs]
+        ).reshape(len(rngs), words)
         for kind, start, stop, lo, hi in segments:
             if kind == _TARGET:
-                target, half = _inputs(raw[:, lo:hi], width, 1, half)
-                target = target[:, 0]
+                target, half = _inputs(raw[:, lo:hi], width, 1, half, out)
+                target = target[:, 0] >> shift << shift  # zeros below a reference
             elif kind == _INPUTS:
-                gs, half = _inputs(raw[:, lo:hi], width, n, half)
+                gs, half = _inputs(raw[:, lo:hi], width, n, half, out)
                 flipped = gs.copy() if len(limits) else gs
             else:
-                flipped[:, start:stop] ^= _flip_masks(raw[:, lo:hi], width, limits[kind])
+                flipped[:, start:stop] ^= _flip_masks(
+                    raw[:, lo:hi], width, limits[kind], shift
+                )
     return target, half, gs, flipped
 
 
@@ -428,15 +458,20 @@ def _run_trials(
 
     The trials walk the chunks together.  In each chunk every open trial
     draws its words with ``random_raw`` (:func:`_layout`), and a group of
-    trials at a time is decoded, flipped, screened (first chunk only),
-    evaluated and accepted as arrays.  A trial leaves when it accepts, when
-    its target is screened out or when its budget is spent.  Open trials
-    have drawn the same chunks, so they share each chunk's layout; only the
-    value of a buffered half differs, and it is carried as an array.
+    trials at a time is flipped, screened (first chunk only), evaluated and
+    accepted as arrays, on the inputs left-aligned in their raw lanes: the
+    circuits evaluate there (``shift``), a target search folds each target
+    into the constant term, and only settled values are shifted back down.
+    A trial leaves when it accepts, when its target is screened out or when
+    its budget is spent.  Open trials have drawn the same chunks, so they
+    share each chunk's layout; only the value of a buffered half differs,
+    and it is carried as an array.
     """
     k_allow, limits, label, screen = invariants
     width, eps, budget = cfg.width, cfg.epsilon, cfg.max_iterations
     search = cfg.mode is ComparisonMode.TARGET_SEARCH
+    shift = _lane(width) - width
+    buffer = np.empty(_PASS_WORDS, dtype=np.uint32)  # a group's 32-bit lanes
     samples: list = [None] * len(rngs)
     trials, targets, halves = np.arange(len(rngs)), None, None
     drawn, size, buffered = 0, _CHUNK_FIRST, False
@@ -449,37 +484,52 @@ def _run_trials(
         for g in range(0, len(trials), rows):
             ts, target, half = _take((trials, targets, halves), slice(g, g + rows))
             gens = [rngs[t] for t in ts.tolist()]
+            out = buffer[: len(ts) * n].reshape(len(ts), n)
             target, half, gs, flipped = _draw(
-                gens, calls, width, n, limits, target, half
+                gens, calls, width, n, limits, target, half, out
             )
             if screen and not drawn:
-                distance, nearest = faulty.nearest(target)
+                distance, nearest = faulty.nearest(target >> shift)
                 far = distance > k_allow
                 for t, x, y in zip(
-                    ts[far].tolist(), nearest[far].tolist(), target[far].tolist()
+                    ts[far].tolist(), nearest[far].tolist(),
+                    (target[far] >> shift).tolist(),
                 ):
                     samples[t] = DeviationSample(x << 1, y << 1, budget, False, eps, label)
                 ts, target, half, gs, flipped = _take(
                     (ts, target, half, gs, flipped), ~far
                 )
-            modulated = faulty.evaluate_batch(flipped.ravel()).reshape(gs.shape)
+                if not len(ts):
+                    continue
             if search:
-                reference = target[:, None]
+                diff = faulty.evaluate_batch(flipped.ravel(), shift, target)
             else:
-                reference = ideal.evaluate_batch(gs.ravel()).reshape(gs.shape)
-            hits = np.bitwise_count(modulated ^ reference) <= k_allow
-            accepted = hits.any(axis=1)
+                modulated = faulty.evaluate_batch(flipped.ravel(), shift).reshape(gs.shape)
+                reference = ideal.evaluate_batch(gs.ravel(), shift).reshape(gs.shape)
+                diff = modulated ^ reference
+            # A hit scores 0, so a row's first minimum is its first hit if it
+            # has one.  At radius 0 a hit is an exact match: the XOR scores.
+            score = diff if k_allow == 0 else np.bitwise_count(diff) > k_allow
+            first = score.argmin(axis=1)
+            accepted = score[np.arange(len(first)), first] == 0
             settled = accepted | (drawn + n == budget)
             rs = np.flatnonzero(settled)
-            at = np.where(accepted, hits.argmax(axis=1), n - 1)[rs]
-            re = modulated[rs, at]
-            im = target[rs] if search else reference[rs, at]
-            for t, x, y, i, ok in zip(
-                ts[rs].tolist(), re.tolist(), im.tolist(),
-                (at + drawn + 1).tolist(), accepted[rs].tolist(),
-            ):
-                samples[t] = DeviationSample(x << 1, y << 1, i, ok, eps, label)
-            kept.append(_take((ts, target, half), ~settled))
+            if len(rs):
+                at = np.where(accepted[rs], first[rs], n - 1)
+                if search:
+                    im = target[rs]
+                    re = diff[rs, at] ^ im
+                else:
+                    re, im = modulated[rs, at], reference[rs, at]
+                for t, x, y, i, ok in zip(
+                    ts[rs].tolist(), (re >> shift).tolist(), (im >> shift).tolist(),
+                    (at + drawn + 1).tolist(), accepted[rs].tolist(),
+                ):
+                    samples[t] = DeviationSample(x << 1, y << 1, i, ok, eps, label)
+                ts, target, half = _take((ts, target, half), ~settled)
+            kept.append((ts, target, half))
+        if not kept:  # every target was screened out
+            break
         trials, targets, halves = (
             None if parts[0] is None else np.concatenate(parts) for parts in zip(*kept)
         )

@@ -211,6 +211,37 @@ def test_evaluation_matches_slot_by_slot_oracle():
                 assert [int(x) for x in batch] == expected
 
 
+def test_lane_evaluation_is_the_evaluation_moved_up():
+    # The sampler evaluates each input where its raw draw holds it: the top
+    # w bits of a 32-bit lane (w <= 32) or of a 64-bit one, above random
+    # bits.  Every mask must move up with the input and leave those bits out.
+    rng = random.Random(77)
+    draws = np.random.default_rng(77)
+    for width in range(1, 65):
+        full = (1 << width) - 1
+        for c in _faulted_variants(rng, random_circuit(rng, width)):
+            values = draws.integers(0, full, 64, dtype=np.uint64, endpoint=True)
+            values[:2] = 0, full
+            expected = c.evaluate_batch(values)
+            for lane, dtype in ((32, np.uint32), (64, np.uint64)):
+                if width > lane:
+                    continue
+                shift = lane - width
+                below = draws.integers(0, (1 << shift) - 1, 64, dtype=np.uint64,
+                                       endpoint=True)
+                below[:2] = (1 << shift) - 1, 0
+                lanes = ((values << np.uint64(shift)) | below).astype(dtype)
+                moved = (expected << np.uint64(shift)).astype(dtype)
+                got = c.evaluate_batch(lanes, shift)
+                assert got.dtype == dtype and np.array_equal(got, moved), (width, lane)
+                # A reference per row of 8 is folded in with the constant.
+                refs = lanes[::8]
+                got = c.evaluate_batch(lanes, shift, refs)
+                assert got.dtype == dtype and np.array_equal(
+                    got, moved.reshape(8, 8) ^ refs[:, None]
+                ), (width, lane)
+
+
 def test_nearest_matches_brute_force_over_all_inputs():
     rng = random.Random(4242)
     for width in range(1, 11):

@@ -8,7 +8,14 @@ import pytest
 
 from ganfault import analysis
 from ganfault.circuit import Circuit, GateKind, unary_layer
-from ganfault.cli import MAX_BINS, MAX_CANVAS, MAX_GRID_LEVELS, _grid, main
+from ganfault.cli import (
+    MAX_BINS,
+    MAX_CANVAS,
+    MAX_GRID_LEVELS,
+    _grid,
+    build_parser,
+    main,
+)
 from ganfault.netlist import serialize_netlist
 
 from conftest import src_env
@@ -283,6 +290,30 @@ def test_dataset_fault_in_config_exits_2(not8_ckt, tmp_path, capsys):
     assert code == 2
     assert "from --run LABEL=FAULTSPECS, not --fault" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_dataset_help_names_run_as_the_source_of_faults(capsys):
+    with pytest.raises(SystemExit) as info:
+        build_parser().parse_args(["dataset", "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--fault" not in text
+    assert "The faults of each image come from its --run LABEL=FAULTSPECS entry" in text
+    assert "--run LABEL=FAULTSPECS the label and faults of one image" in text
+
+
+def test_import_leaves_numpy_random_and_scipy_unloaded():
+    # Each CLI call pays for what importing the CLI loads; numpy.random is
+    # loaded at a run's first trial and scipy only by the tests.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ganfault.cli; "
+         "print(sorted(m for m in sys.modules "
+         "if m == 'scipy' or m.startswith(('numpy.random', 'scipy.'))))"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point(not4_ckt):

@@ -154,7 +154,7 @@ def test_fault_grammar_rejects(text):
 
 
 def _flips(raw: np.ndarray, width: int, *probs: float) -> np.ndarray:
-    return _flip_masks(raw, width, _flip_limits(probs))
+    return _flip_masks(raw, width, _flip_limits(probs), 0)
 
 
 def test_perturb_identity_and_certain_flip():

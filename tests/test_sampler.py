@@ -159,11 +159,21 @@ def test_run_experiment_looks_up_trial_rng_at_call_time(monkeypatch):
     assert calls == list(range(cfg.trials))
 
 
-def _circuit(width: int, lossy: bool) -> Circuit:
-    """NOT on every bit, after AND on every pair when ``lossy``; else a bijection."""
+_AND = (GateKind.AND,)
+_XOR_OR = (GateKind.XOR, GateKind.OR)
+
+
+def _circuit(width: int, pairs: tuple[GateKind, ...] = ()) -> Circuit:
+    """NOT on every bit, after the gates ``pairs`` in turn on every pair.
+
+    An odd width leaves a one-bit pair, which a BUFFER fills.  Without
+    ``pairs`` the circuit is a bijection, whose only term is the constant;
+    AND pairs add the AND term, and XOR/OR pairs every term of a pair.
+    """
     layers = [unary_layer(GateKind.NOT, width)]
-    if lossy and width > 1:
-        slots = [GateSlot(GateKind.AND, p) for p in range(1, width, 2)]
+    if pairs and width > 1:
+        slots = [GateSlot(pairs[k % len(pairs)], p)
+                 for k, p in enumerate(range(1, width, 2))]
         slots += [GateSlot(GateKind.BUFFER, width)] * (width % 2)
         layers.insert(0, Layer(slots))
     return Circuit(width, layers)
@@ -232,16 +242,18 @@ def test_run_experiment_equals_the_per_trial_loop(width):
     # targets are screened out at low epsilon, next to bijections, which
     # screen nothing.  A target search at width <= 32 leaves a 32-bit half
     # buffered after round one, so budgets from 9 on check its decoding.
+    # Inputs are evaluated left-aligned in 32- or 64-bit lanes, so every
+    # width puts each term of the circuits at a different offset.
     cases = itertools.product(
-        ComparisonMode, (0, 1, 2), (1, 3, 8, 9, 70, 600, 5000), (False, True)
+        ((), _AND, _XOR_OR), ComparisonMode, (0, 1, 2), (1, 3, 8, 9, 70, 600, 5000)
     )
     screened = 0
-    for i, (mode, flips, budget, lossy) in enumerate(cases):
+    for i, (pairs, mode, flips, budget) in enumerate(cases):
         cfg = _config(
-            circuit=_circuit(width, lossy),
+            circuit=_circuit(width, pairs),
             faults=(InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
             mode=mode,
-            epsilon=(0.0, 0.1, 0.25)[i % 3] if lossy else (0.0, 0.5)[i % 2],
+            epsilon=(0.0, 0.1, 0.25)[i % 3] if pairs else (0.0, 0.5)[i % 2],
             trials=(1, 7, 12)[i % 3],
             seed=(width, 2**64 + width, 2**70 + 3)[i % 3],
             max_iterations=budget,
@@ -249,16 +261,16 @@ def test_run_experiment_equals_the_per_trial_loop(width):
         faulty = inject_all(cfg.circuit, cfg.faults)
         screened += sampler._invariants(cfg, faulty)[3]
         expected = _per_trial(cfg)
-        assert run_experiment(cfg) == expected, (mode, flips, budget, lossy)
+        assert run_experiment(cfg) == expected, (mode, flips, budget, pairs)
         alone = [run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
                  for t in range(cfg.trials)]
-        assert alone == expected, (mode, flips, budget, lossy)
+        assert alone == expected, (mode, flips, budget, pairs)
     assert screened > 0 or width == 1
 
 
 def test_passes_and_seed_blocks_do_not_change_samples():
     cfg = _config(
-        circuit=_circuit(8, lossy=True),
+        circuit=_circuit(8, _AND),
         faults=(InputPerturbation(0.1),),
         mode=ComparisonMode.TARGET_SEARCH,
         epsilon=0.25,
@@ -294,7 +306,7 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
     # A missing NOT keeps the faulty output off the ideal one at epsilon 0.
     probs = (0.2, 0.02)[:flips]
     cfg = _config(
-        circuit=_circuit(width, lossy=False),
+        circuit=_circuit(width),
         faults=(Missing(1, 1), *(InputPerturbation(p) for p in probs)),
         mode=mode,
         trials=12,
@@ -307,14 +319,14 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
         issued[id(rng)] = trial, rng  # holding rng keeps its id unique
         return rng
 
-    def capturing(rngs, calls, width, n, limits, target, half):
+    def capturing(rngs, calls, width, n, limits, target, half, out):
         for row, rng in enumerate(rngs):
             t = issued[id(rng)][0]
             chunks[t] = chunks.get(t, 0) + 1
             if chunks[t] == 2:
                 buffered = None if half is None else int(half[row])
                 second[t] = rng.bit_generator.state["state"], buffered
-        return draw(rngs, calls, width, n, limits, target, half)
+        return draw(rngs, calls, width, n, limits, target, half, out)
 
     draw = sampler._draw
     monkeypatch.setattr(sampler, "trial_rng", tracking)
