@@ -83,8 +83,7 @@ _FLIP_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 _SEED_BLOCK = 1024
 # Memory a pass may hold: 8 bytes per round-one raw word (2**15 words at
 # most) plus each trial's generator, kept until the pass ends.  One
-# ``random_raw`` call of a group holds at most as many words, and the
-# pass's buffer of 32-bit lanes (:func:`_inputs`) half as many bytes.
+# ``random_raw`` call of a group holds at most as many words.
 _PASS_BYTES = 1 << 18
 _PASS_WORDS = _PASS_BYTES // 8
 _GENERATOR_BYTES = 800
@@ -305,7 +304,7 @@ def _flip_masks(
 
 
 def _inputs(
-    raw: np.ndarray, width: int, n: int, half: np.ndarray | None, out: np.ndarray
+    raw: np.ndarray, width: int, n: int, half: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``n`` inputs per row of ``raw``, left-aligned in their lanes (:func:`_lane`).
 
@@ -314,7 +313,7 @@ def _inputs(
     half is left).  For w <= 32 an input is the top w bits of a 32-bit half,
     the low half of a word first, after ``half``, the half an earlier draw
     left buffered; the halves are read in place, or copied behind ``half``
-    into ``out``, a (rows, n) buffer.  For 33 <= w <= 63 an input is the top
+    into a new array.  For 33 <= w <= 63 an input is the top
     w bits of a word; at w = 64 a draw takes n high halves, then n low halves.
     """
     if 32 < width < 64:
@@ -325,7 +324,7 @@ def _inputs(
     if half is None:
         values = halves[:, :n]
     else:
-        values = out
+        values = np.empty((len(raw), n), dtype=np.uint32)
         values[:, 0] = half
         values[:, 1:] = halves[:, : n - 1]
     left = halves[:, -1].copy() if halves.shape[1] > n - (half is not None) else None
@@ -418,15 +417,13 @@ def _draw(
     limits: np.ndarray,
     target: np.ndarray | None,
     half: np.ndarray | None,
-    out: np.ndarray,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
     """One chunk for a group of trials, drawn as :func:`_layout` lays it out.
 
     Returns each trial's target (drawn in this chunk or passed in), the
     32-bit half it leaves buffered, its candidates, and its candidates with
-    its flips applied, all left-aligned in their lanes (:func:`_inputs`,
-    which may hold the candidates in ``out``); only the target has its
-    bits below cleared.
+    its flips applied, all left-aligned in their lanes (:func:`_inputs`);
+    only the target has its bits below cleared.
     """
     shift = _lane(width) - width
     for words, segments in calls:
@@ -435,10 +432,10 @@ def _draw(
         ).reshape(len(rngs), words)
         for kind, start, stop, lo, hi in segments:
             if kind == _TARGET:
-                target, half = _inputs(raw[:, lo:hi], width, 1, half, out)
+                target, half = _inputs(raw[:, lo:hi], width, 1, half)
                 target = target[:, 0] >> shift << shift  # zeros below a reference
             elif kind == _INPUTS:
-                gs, half = _inputs(raw[:, lo:hi], width, n, half, out)
+                gs, half = _inputs(raw[:, lo:hi], width, n, half)
                 flipped = gs.copy() if len(limits) else gs
             else:
                 flipped[:, start:stop] ^= _flip_masks(
@@ -471,7 +468,6 @@ def _run_trials(
     width, eps, budget = cfg.width, cfg.epsilon, cfg.max_iterations
     search = cfg.mode is ComparisonMode.TARGET_SEARCH
     shift = _lane(width) - width
-    buffer = np.empty(_PASS_WORDS, dtype=np.uint32)  # a group's 32-bit lanes
     samples: list = [None] * len(rngs)
     trials, targets, halves = np.arange(len(rngs)), None, None
     drawn, size, buffered = 0, _CHUNK_FIRST, False
@@ -484,9 +480,8 @@ def _run_trials(
         for g in range(0, len(trials), rows):
             ts, target, half = _take((trials, targets, halves), slice(g, g + rows))
             gens = [rngs[t] for t in ts.tolist()]
-            out = buffer[: len(ts) * n].reshape(len(ts), n)
             target, half, gs, flipped = _draw(
-                gens, calls, width, n, limits, target, half, out
+                gens, calls, width, n, limits, target, half
             )
             if screen and not drawn:
                 distance, nearest = faulty.nearest(target >> shift)

@@ -242,18 +242,26 @@ def test_run_experiment_equals_the_per_trial_loop(width):
     # targets are screened out at low epsilon, next to bijections, which
     # screen nothing.  A target search at width <= 32 leaves a 32-bit half
     # buffered after round one, so budgets from 9 on check its decoding.
+    # Bijections run at epsilon 0, where an exact match is rare beyond a
+    # few bits, so their trials walk every chunk their budget allows.
     # Inputs are evaluated left-aligned in 32- or 64-bit lanes, so every
-    # width puts each term of the circuits at a different offset.
-    cases = itertools.product(
-        ((), _AND, _XOR_OR), ComparisonMode, (0, 1, 2), (1, 3, 8, 9, 70, 600, 5000)
-    )
+    # width puts each term of the circuits at a different offset; the
+    # XOR/OR cases come after the others, which keep their epsilon,
+    # trials and seed.
+    modes, flip_counts = ComparisonMode, (0, 1, 2)
+    budgets = (1, 3, 8, 9, 70, 600, 5000)
+    cases = [
+        *((pairs, mode, flips, budget) for mode, flips, budget, pairs
+          in itertools.product(modes, flip_counts, budgets, ((), _AND))),
+        *itertools.product((_XOR_OR,), modes, flip_counts, budgets),
+    ]
     screened = 0
     for i, (pairs, mode, flips, budget) in enumerate(cases):
         cfg = _config(
             circuit=_circuit(width, pairs),
             faults=(InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
             mode=mode,
-            epsilon=(0.0, 0.1, 0.25)[i % 3] if pairs else (0.0, 0.5)[i % 2],
+            epsilon=(0.0, 0.1, 0.25)[i % 3] if pairs else 0.0,
             trials=(1, 7, 12)[i % 3],
             seed=(width, 2**64 + width, 2**70 + 3)[i % 3],
             max_iterations=budget,
@@ -319,14 +327,14 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
         issued[id(rng)] = trial, rng  # holding rng keeps its id unique
         return rng
 
-    def capturing(rngs, calls, width, n, limits, target, half, out):
+    def capturing(rngs, calls, width, n, limits, target, half):
         for row, rng in enumerate(rngs):
             t = issued[id(rng)][0]
             chunks[t] = chunks.get(t, 0) + 1
             if chunks[t] == 2:
                 buffered = None if half is None else int(half[row])
                 second[t] = rng.bit_generator.state["state"], buffered
-        return draw(rngs, calls, width, n, limits, target, half, out)
+        return draw(rngs, calls, width, n, limits, target, half)
 
     draw = sampler._draw
     monkeypatch.setattr(sampler, "trial_rng", tracking)
