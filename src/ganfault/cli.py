@@ -220,8 +220,13 @@ def _grid(spec) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"grid must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
+        for name, value in (("start", start), ("stop", stop), ("step", step)):
+            if not math.isfinite(value):
+                raise ValueError(f"grid {name} must be finite, got {value}")
         if not step > 0:
-            raise ValueError("grid step must be positive")
+            raise ValueError(f"grid step must be positive, got {step}")
+        if stop < start:
+            raise ValueError(f"grid stop {stop} is below its start {start}")
         span = (stop + 1e-9 - start) / step  # the loop yields floor(span) + 1 levels
         _check_level_count(math.floor(span) + 1 if math.isfinite(span) else span)
         values = []

@@ -14,13 +14,15 @@ thread.  Every candidate is a fresh draw from the trial's own substream;
 no input is carried from one trial to the next, so the samples of an
 experiment are independent.
 
-All trials of a pass walk the chunks of the determinism contract together.
+Trials run in passes of one aligned seed block (:func:`_seed_words`), and
+all trials of a pass walk the chunks of the determinism contract together.
 For each chunk, each open trial draws its words with the generator's
-``random_raw``; the inputs and flip uniforms are read out of them exactly
-as numpy's ``integers`` and ``random`` would draw them, and flips, the
-unreachable-target screen, evaluation and the accept test run as arrays
-over a group of trials.  A trial leaves the pass once settled, so no trial
-continues on its own; :func:`run_trial` is the same loop on one generator.
+``random_raw``, a group of trials at a time; the inputs and flip uniforms
+are read out of them exactly as numpy's ``integers`` and ``random`` would
+draw them, and flips, the unreachable-target screen, evaluation and the
+accept test run as arrays over the group, whose raw words are then
+dropped.  A trial leaves the pass once settled, so no trial continues on
+its own; :func:`run_trial` is the same loop on one generator.
 
 Inputs narrower than 64 bits are not decoded.  An input of w <= 32 bits
 is the top w bits of a 32-bit half of a raw word, one of 33..63 bits the
@@ -77,16 +79,14 @@ _CHUNK_GROWTH = 8
 _CHUNK_MAX = 8192
 _FLIP_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
-# Trials whose seed words one vectorised pass derives.  A power of two
-# below 2**32, so a block never straddles a multiple of 2**32: only the
-# lowest word of its spawn keys varies.
+# Trials whose seed words one vectorised call derives, and the trials of
+# one pass of :func:`run_experiment`.  A power of two below 2**32, so a
+# block never straddles a multiple of 2**32: only the lowest word of its
+# spawn keys varies.
 _SEED_BLOCK = 1024
-# Memory a pass may hold: 8 bytes per round-one raw word (2**15 words at
-# most) plus each trial's generator, kept until the pass ends.  One
-# ``random_raw`` call of a group holds at most as many words.
-_PASS_BYTES = 1 << 18
-_PASS_WORDS = _PASS_BYTES // 8
-_GENERATOR_BYTES = 800
+# Raw words one group of trials holds at a time, in one ``random_raw`` call
+# or in its two arrays of candidates (:func:`_layout`).
+_GROUP_WORDS = 1 << 15
 # Kinds of a chunk's draws besides flip uniforms, whose kind is a slice of
 # the flip faults (:func:`_layout`).
 _TARGET, _INPUTS = -2, -1
@@ -342,13 +342,13 @@ def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
     (``_INPUTS``) or the uniforms of the flip faults in slice ``kind`` for
     candidates start..stop.  An input of width w <= 32 takes a 32-bit half,
     a wider one a word (two halves at w = 64), a flip uniform a word.  A
-    call holds at most ``_PASS_WORDS`` words, so a large chunk's flip
+    call holds at most ``_GROUP_WORDS`` words, so a large chunk's flip
     uniforms come in pieces of whole candidates, and so does a group of
     trials: rows * max(call words, words of two arrays of n lanes) <=
-    ``_PASS_WORDS``, or one row.
+    ``_GROUP_WORDS``, or one row.
     """
-    piece = min(n, _PASS_WORDS // width)  # candidates per flip segment
-    per = _PASS_WORDS // (piece * width)  # faults per flip segment
+    piece = min(n, _GROUP_WORDS // width)  # candidates per flip segment
+    per = _GROUP_WORDS // (piece * width)  # faults per flip segment
     draws = [(_TARGET, 0, 1)] if target else []
     draws.append((_INPUTS, 0, n))
     draws += [(slice(f, min(f + per, flips)), a, min(a + piece, n))
@@ -363,28 +363,14 @@ def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
             buffered = (stop - buffered) % 2 == 1
         else:
             k = stop
-        if not calls or words + k > _PASS_WORDS:
+        if not calls or words + k > _GROUP_WORDS:
             calls.append([])
             words = 0
         calls[-1].append((kind, start, stop, words, words + k))
         words += k
     sized = tuple((call[-1][4], tuple(call)) for call in calls)
-    rows = _PASS_WORDS // max(max(w for w, _ in sized), n * _lane(width) // 32)
+    rows = _GROUP_WORDS // max(max(w for w, _ in sized), n * _lane(width) // 32)
     return sized, max(1, rows), buffered
-
-
-def _pass_trials(cfg: ExperimentConfig) -> int:
-    """Trials per pass: each holds its generator and the raw words of its
-    round one (target, first chunk and that chunk's flip uniforms)."""
-    calls, _, _ = _layout(
-        cfg.width,
-        min(_CHUNK_FIRST, cfg.max_iterations),
-        len(perturbations(cfg.faults)),
-        cfg.mode is ComparisonMode.TARGET_SEARCH,
-        False,
-    )
-    words = sum(w for w, _ in calls)
-    return max(1, _PASS_BYTES // (8 * words + _GENERATOR_BYTES))
 
 
 def _invariants(
@@ -562,19 +548,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[DeviationSample]:
     """Run ``cfg.trials`` trials in index order and return their samples.
 
     Every trial runs on its own substream (:func:`trial_rng`), so the result
-    is a pure function of the configuration.  Trials go in passes that hold
-    at most :data:`_PASS_BYTES` of generators and round-one words; a pass
-    builds each trial's generator and runs the chunk loop of
-    :func:`_run_trials` over all of them.
+    is a pure function of the configuration.  Trials go in passes of one
+    aligned seed block (:data:`_SEED_BLOCK`); a pass builds each trial's
+    generator and runs the chunk loop of :func:`_run_trials` over all of
+    them.  Raw words are drawn and dropped a group at a time, so a pass
+    keeps only each trial's generator, target and buffered half.
     """
     cfg.validate()
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
     invariants = _invariants(cfg, faulty)
-    per_pass = _pass_trials(cfg)
     samples: list[DeviationSample] = []
-    for start in range(0, cfg.trials, per_pass):
+    for start in range(0, cfg.trials, _SEED_BLOCK):
         rngs = [trial_rng(cfg.seed, t)
-                for t in range(start, min(start + per_pass, cfg.trials))]
+                for t in range(start, min(start + _SEED_BLOCK, cfg.trials))]
         samples += _run_trials(cfg, faulty, ideal, rngs, invariants)
     return samples

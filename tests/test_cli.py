@@ -406,6 +406,24 @@ def test_grid_without_valid_levels_exits_2(grid, not8_ckt, tmp_path):
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("nan:0.1:0.05", "grid start must be finite, got nan"),
+    ("0:nan:0.1", "grid stop must be finite, got nan"),
+    ("inf:1:0.1", "grid start must be finite, got inf"),
+    ("0:1:inf", "grid step must be finite, got inf"),
+    ("0:1:-0.1", "grid step must be positive, got -0.1"),
+    ("0.5:0.1:0.1", "grid stop 0.1 is below its start 0.5"),
+])
+def test_malformed_grid_range_names_the_part_at_fault(grid, message, not4_ckt,
+                                                      tmp_path, capsys):
+    out = tmp_path / "o"
+    argv = ["sweep", "--ckt", str(not4_ckt), "--trials", "8", "--seed", "1",
+            "--grid", grid, "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid, count", [
     ("0:1:1e-6", 1_000_001),
     ("0:1:1e-9", 1_000_000_002),  # counted, never built

@@ -276,7 +276,7 @@ def test_run_experiment_equals_the_per_trial_loop(width):
     assert screened > 0 or width == 1
 
 
-def test_passes_and_seed_blocks_do_not_change_samples():
+def test_passes_and_seed_blocks_do_not_change_samples(monkeypatch):
     cfg = _config(
         circuit=_circuit(8, _AND),
         faults=(InputPerturbation(0.1),),
@@ -285,11 +285,35 @@ def test_passes_and_seed_blocks_do_not_change_samples():
         seed=2**64,
         max_iterations=40,
     )
-    per_pass = sampler._pass_trials(cfg)
-    assert 1 < per_pass < 1023
-    for trials in (1, per_pass - 1, per_pass, per_pass + 1, 1023, 1024, 1025, 2049):
+    for trials in (1, 1023, 1024, 1025, 2049):
         cfg.trials = trials
         assert run_experiment(cfg) == _per_trial(cfg), trials
+    # A pass is one seed block.  At four trials a block, 1..13 trials end
+    # passes at every offset, and two missing AND gates keep many trials of
+    # either mode open beyond the first chunk of 8.
+    sampler._seed_words.cache_clear()
+    monkeypatch.setattr(sampler, "_SEED_BLOCK", 4)
+    try:
+        for t in range(13):
+            assert (
+                trial_rng(cfg.seed, t).bit_generator.state
+                == _seed_sequence_rng(cfg.seed, t).bit_generator.state
+            ), t
+        for mode, flips in itertools.product(ComparisonMode, (0, 1)):
+            search = mode is ComparisonMode.TARGET_SEARCH
+            small = _config(
+                circuit=_circuit(8, _AND),
+                faults=(Missing(1, 1), Missing(1, 3), InputPerturbation(0.1))[: 2 + flips],
+                mode=mode,
+                epsilon=0.125 if search else 0.0,
+                seed=cfg.seed,
+                max_iterations=40,
+            )
+            for trials in range(1, 14):
+                small.trials = trials
+                assert run_experiment(small) == _per_trial(small), (mode, flips, trials)
+    finally:
+        sampler._seed_words.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -356,12 +380,16 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
         assert half == (want["uinteger"] if buffered else None), t
 
 
-@pytest.mark.parametrize("trials, budget", [(300, 100), (2, 20_000)])
+@pytest.mark.parametrize("trials, budget", [(300, 100), (2, 20_000), (1100, 8)])
 def test_a_pass_never_holds_a_huge_allocation(trials, budget):
-    # 64 flip faults at width 64 draw 32 776 words per trial in round one;
-    # a pass of a fixed 256 trials would hold about 67 MB of them.  No
-    # trial accepts, so at budget 20 000 the trials reach chunks of 8192,
-    # whose flip uniforms take 4 MiB per fault and trial.
+    # 64 flip faults at width 64 draw 32 776 words per trial in round one.
+    # No trial accepts, so at budget 20 000 the trials reach chunks of
+    # 8192, whose flip uniforms take 4 MiB per fault and trial.  A group of
+    # trials draws at most 2**15 words (256 KiB) in one call and drops them
+    # before the next, so here a group is one trial and a chunk's uniforms
+    # come in calls of 512 candidates of one fault.  A pass keeps only each
+    # trial's generator, target and buffered half: 1100 trials fill one
+    # seed block of 1024 generators, about 750 B each, and start another.
     cfg = _config(
         circuit=identity_circuit(64),
         faults=(InputPerturbation(0.01),) * 64,
