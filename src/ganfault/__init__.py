@@ -41,6 +41,7 @@ from .sampler import (
     deviation,
     relative_uncertainty,
     run_experiment,
+    run_levels,
     run_trial,
     trial_rng,
 )

@@ -2,7 +2,8 @@
 
 The linear fit regresses re on im by ordinary least squares and reports a
 scale-free nonlinearity statistic rho = RMS residual / (2**(N+1) - 2).
-A sweep runs one experiment per uncertainty level; the transition point
+A sweep samples every uncertainty level in one walk of each trial's
+stream (:func:`ganfault.sampler.run_levels`); the transition point
 eps* is the smallest grid level whose rho exceeds the threshold tau among
 levels with enough accepted samples.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
 
@@ -20,7 +21,8 @@ from .sampler import (
     DeviationSample,
     ExperimentConfig,
     max_acceptable_distance,
-    run_experiment,
+    run_experiment,  # unused here; perfbench's tracer patches this name
+    run_levels,
 )
 
 DEFAULT_TAU = 0.05
@@ -138,18 +140,20 @@ def run_sweep(
     cfg: ExperimentConfig,
     epsilons: Sequence[float] = DEFAULT_EPSILON_GRID,
 ) -> SweepResult:
-    """Run one experiment per uncertainty level and summarize each.
+    """Sample every uncertainty level and summarize each.
 
     Every level reuses the base seed, so trial t sees the same generator
-    stream at each epsilon (paired sampling across the grid).  The grid
-    is checked before the first level runs.
+    stream at each epsilon (paired sampling across the grid), and
+    :func:`run_levels` walks that stream once for every level's accept
+    radius: the sweep costs about as much as its lowest level.  The grid
+    and every level's configuration are checked before the first draw.
     """
     _check_grid(epsilons)
-    points = []
-    for eps in epsilons:
-        samples = run_experiment(replace(cfg, epsilon=eps))
-        points.append(summarize_point(eps, samples, cfg.width))
-    return SweepResult(cfg.width, points)
+    levels = run_levels(cfg, epsilons)
+    return SweepResult(cfg.width, [
+        summarize_point(eps, samples, cfg.width)
+        for eps, samples in zip(epsilons, levels)
+    ])
 
 
 @dataclass(frozen=True)

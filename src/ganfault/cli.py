@@ -65,7 +65,7 @@ _DEFAULTS = {
 
 MAX_BINS = 1024  # the dataset histogram holds bins**2 int64 counts
 MAX_CANVAS = 8192
-MAX_GRID_LEVELS = 1001  # a sweep runs one experiment per level
+MAX_GRID_LEVELS = 1001  # a sweep holds every level's samples
 
 # JSON yields exact int, float, str, bool and list objects, so exact type
 # tests also keep true/false out of the integer and number keys.

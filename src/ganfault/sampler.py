@@ -24,6 +24,17 @@ accept test run as arrays over the group, whose raw words are then
 dropped.  A trial leaves the pass once settled, so no trial continues on
 its own; :func:`run_trial` is the same loop on one generator.
 
+One walk serves every uncertainty level of a sweep (:func:`run_levels`).
+Each level reuses trial t's stream, and its sample at accept radius K is
+the first candidate within K of the reference, or the last one the budget
+allows, so the loop takes the levels' distinct radii and settles each
+radius at its own first hit.  A trial's open radii are a contiguous range:
+a hit at distance d settles every open radius >= d, and the end of the
+budget censors the rest.  A group whose only open radius is 0 keeps the
+exact-match accept test, so the bulk draws at radius 0 pay nothing for the
+others.  :func:`run_experiment` and :func:`run_trial` are the one-radius
+case.
+
 Inputs narrower than 64 bits are not decoded.  An input of w <= 32 bits
 is the top w bits of a 32-bit half of a raw word, one of 33..63 bits the
 top w bits of a word, so each stays in that lane (:func:`_lane`),
@@ -35,14 +46,15 @@ constant term, and the accept test reads the lanes as they are.  Only
 settled outputs and the first chunk's screen shift back down.  Width 64
 fills its lane; its inputs are assembled from a high and a low half.
 
-Unreachable targets are skipped.  Every gate acts inside one aligned bit
-pair, inputs are uniform and flip noise keeps them uniform, so a target
-can be accepted exactly when its distance to the nearest output of the
-faulty circuit is within epsilon.  A target farther away is censored
-before any candidate is examined: its sample reports the full
-``max_iterations`` and, as ``re``, that nearest output.  Circuits whose
-every target is within epsilon of an output (``Circuit.covering_radius``)
-skip the check.
+Unreachable targets are skipped, radius by radius.  Every gate acts
+inside one aligned bit pair, inputs are uniform and flip noise keeps them
+uniform, so a target can be accepted at radius K exactly when its distance
+to the nearest output of the faulty circuit is within K.  At every radius
+below that distance the target is censored before any candidate is
+examined: its sample reports the full ``max_iterations`` and, as ``re``,
+that nearest output; the trial keeps drawing for the larger radii.  A
+radius that every target lies within of an output
+(``Circuit.covering_radius``) needs no check.
 
 Determinism contract: trial t draws from the substream
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`` and consumes
@@ -61,7 +73,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -373,23 +385,6 @@ def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
     return sized, max(1, rows), buffered
 
 
-def _invariants(
-    cfg: ExperimentConfig, faulty: Circuit
-) -> tuple[int, np.ndarray, str, bool]:
-    """What every trial of one experiment shares.
-
-    The accept radius, the flip limits (:func:`_flip_limits`), the label,
-    and whether a target search must screen its targets: it need not when
-    every target lies within the accept radius of some output of ``faulty``.
-    """
-    k_allow = max_acceptable_distance(cfg.width, cfg.epsilon)
-    screen = (
-        cfg.mode is ComparisonMode.TARGET_SEARCH and faulty.covering_radius > k_allow
-    )
-    limits = _flip_limits(perturbations(cfg.faults))
-    return k_allow, limits, cfg.resolved_label(), screen
-
-
 def _take(arrays: tuple, index) -> tuple:
     """Each array's rows at ``index``; a None stays None."""
     return tuple(None if a is None else a[index] for a in arrays)
@@ -435,50 +430,69 @@ def _run_trials(
     faulty: Circuit,
     ideal: Circuit,
     rngs: Sequence[np.random.Generator],
-    invariants: tuple[int, np.ndarray, str, bool],
-) -> list[DeviationSample]:
-    """The sample of each trial, one per fresh generator in ``rngs``.
+    radii: Sequence[int],
+    epsilons: Sequence[float],
+) -> list[list[DeviationSample]]:
+    """Each trial's sample at each accept radius, one trial per fresh generator.
 
-    The trials walk the chunks together.  In each chunk every open trial
-    draws its words with ``random_raw`` (:func:`_layout`), and a group of
-    trials at a time is flipped, screened (first chunk only), evaluated and
-    accepted as arrays, on the inputs left-aligned in their raw lanes: the
-    circuits evaluate there (``shift``), a target search folds each target
-    into the constant term, and only settled values are shifted back down.
-    A trial leaves when it accepts, when its target is screened out or when
-    its budget is spent.  Open trials have drawn the same chunks, so they
+    ``radii`` are sorted and distinct; entry ``[j][t]`` is trial t's sample
+    at radius ``radii[j]``, labelled with ``epsilons[j]``.  The trials walk
+    the chunks together.  In each chunk every open trial draws its
+    words with ``random_raw`` (:func:`_layout`), and a group of trials at a
+    time is flipped, screened (first chunk only), evaluated and accepted as
+    arrays, on the inputs left-aligned in their raw lanes: the circuits
+    evaluate there (``shift``), a target search folds each target into the
+    constant term, and only settled values are shifted back down.
+
+    A trial's open radii are the range ``lo..hi``.  The screen raises
+    ``lo`` past every radius below the target's distance to the nearest
+    output, and censors those radii at once; a hit at distance d settles
+    every open radius >= d at that candidate, which lowers ``hi``; at the
+    end of the budget every open radius is censored at the last candidate.
+    A trial leaves once its range is empty, so each trial's stream is walked
+    once for every radius.  Open trials have drawn the same chunks, so they
     share each chunk's layout; only the value of a buffered half differs,
     and it is carried as an array.
     """
-    k_allow, limits, label, screen = invariants
-    width, eps, budget = cfg.width, cfg.epsilon, cfg.max_iterations
+    width, budget = cfg.width, cfg.max_iterations
     search = cfg.mode is ComparisonMode.TARGET_SEARCH
+    limits = _flip_limits(perturbations(cfg.faults))
+    ks = np.array(radii, dtype=np.uint8)
+    screen = search and faulty.covering_radius > radii[0]
     shift = _lane(width) - width
-    samples: list = [None] * len(rngs)
+    label = cfg.resolved_label()
+    samples: list = [[None] * len(rngs) for _ in radii]
     trials, targets, halves = np.arange(len(rngs)), None, None
+    lo, hi = np.zeros_like(trials), np.full_like(trials, len(radii))
     drawn, size, buffered = 0, _CHUNK_FIRST, False
     while len(trials):
         n = min(size, budget - drawn)
+        last = drawn + n == budget
         calls, rows, buffered = _layout(
             width, n, len(limits), search and not drawn, buffered
         )
         kept = []
         for g in range(0, len(trials), rows):
-            ts, target, half = _take((trials, targets, halves), slice(g, g + rows))
+            ts, target, half, los, his = _take(
+                (trials, targets, halves, lo, hi), slice(g, g + rows)
+            )
             gens = [rngs[t] for t in ts.tolist()]
             target, half, gs, flipped = _draw(
                 gens, calls, width, n, limits, target, half
             )
             if screen and not drawn:
                 distance, nearest = faulty.nearest(target >> shift)
-                far = distance > k_allow
-                for t, x, y in zip(
-                    ts[far].tolist(), nearest[far].tolist(),
-                    (target[far] >> shift).tolist(),
+                los = np.searchsorted(ks, distance)
+                rs, js = np.nonzero(np.arange(len(radii)) < los[:, None])
+                for t, j, x, y in zip(
+                    ts[rs].tolist(), js.tolist(), nearest[rs].tolist(),
+                    (target[rs] >> shift).tolist(),
                 ):
-                    samples[t] = DeviationSample(x << 1, y << 1, budget, False, eps, label)
-                ts, target, half, gs, flipped = _take(
-                    (ts, target, half, gs, flipped), ~far
+                    samples[j][t] = DeviationSample(
+                        x << 1, y << 1, budget, False, epsilons[j], label
+                    )
+                ts, target, half, gs, flipped, los, his = _take(
+                    (ts, target, half, gs, flipped, los, his), los < his
                 )
                 if not len(ts):
                     continue
@@ -488,32 +502,59 @@ def _run_trials(
                 modulated = faulty.evaluate_batch(flipped.ravel(), shift).reshape(gs.shape)
                 reference = ideal.evaluate_batch(gs.ravel(), shift).reshape(gs.shape)
                 diff = modulated ^ reference
-            # A hit scores 0, so a row's first minimum is its first hit if it
-            # has one.  At radius 0 a hit is an exact match: the XOR scores.
-            score = diff if k_allow == 0 else np.bitwise_count(diff) > k_allow
-            first = score.argmin(axis=1)
-            accepted = score[np.arange(len(first)), first] == 0
-            settled = accepted | (drawn + n == budget)
-            rs = np.flatnonzero(settled)
+            # Row rs[i] settles radius js[i] at candidate first[i] if ok[i],
+            # else, at the end of the budget, at the last candidate.  The
+            # group's open radii are glo..ghi: lo is 0 unless screened, and
+            # the first row has the largest hi.
+            glo, ghi = los.min() if screen else 0, his[0]
+            if ghi - glo == 1:
+                # Every row has the one radius glo open.  A hit scores 0, so a
+                # row's first minimum is its first hit if it has one.  At
+                # radius 0 a hit is an exact match: the XOR scores.
+                score = diff if radii[glo] == 0 else np.bitwise_count(diff) > ks[glo]
+                first = score.argmin(axis=1)
+                hit = score[np.arange(len(first)), first] == 0
+                settled = hit | last
+                rs, keep = np.flatnonzero(settled), ~settled
+                js, ok, first = [int(glo)] * len(rs), hit[rs], first[rs]
+            else:
+                # Row r hits radius js[c] when its nearest candidate is
+                # within it; only the rows that settle look for the first.
+                js = np.arange(glo, ghi)
+                dist = np.bitwise_count(diff)
+                hit = dist.min(axis=1)[:, None] <= ks[js]
+                open_ = (los[:, None] <= js) & (js < his[:, None])
+                rs, cs = np.nonzero(open_ & (hit | last))
+                js, ok = js[cs], hit[rs, cs]
+                first = (dist[rs] <= ks[js, None]).argmax(axis=1)
+                js = js.tolist()
+                his = los + (open_ & ~hit).sum(axis=1)
+                keep = (his > los) & (not last)
             if len(rs):
-                at = np.where(accepted[rs], first[rs], n - 1)
+                at = np.where(ok, first, n - 1)
                 if search:
                     im = target[rs]
                     re = diff[rs, at] ^ im
                 else:
                     re, im = modulated[rs, at], reference[rs, at]
-                for t, x, y, i, ok in zip(
-                    ts[rs].tolist(), (re >> shift).tolist(), (im >> shift).tolist(),
-                    (at + drawn + 1).tolist(), accepted[rs].tolist(),
+                for t, j, x, y, i, a in zip(
+                    ts[rs].tolist(), js, (re >> shift).tolist(),
+                    (im >> shift).tolist(), (at + drawn + 1).tolist(), ok.tolist(),
                 ):
-                    samples[t] = DeviationSample(x << 1, y << 1, i, ok, eps, label)
-                ts, target, half = _take((ts, target, half), ~settled)
-            kept.append((ts, target, half))
+                    samples[j][t] = DeviationSample(x << 1, y << 1, i, a, epsilons[j], label)
+                ts, target, half, los, his = _take((ts, target, half, los, his), keep)
+            kept.append((ts, target, half, los, his))
         if not kept:  # every target was screened out
             break
-        trials, targets, halves = (
+        trials, targets, halves, lo, hi = (
             None if parts[0] is None else np.concatenate(parts) for parts in zip(*kept)
         )
+        if len(radii) > 1:
+            # Falling hi: a group's first row has its largest, and trials
+            # left with one radius share groups.
+            trials, targets, halves, lo, hi = _take(
+                (trials, targets, halves, lo, hi), np.argsort(-hi, kind="stable")
+            )
         drawn += n
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
     return samples
@@ -541,26 +582,55 @@ def run_trial(
     the nearest output (:meth:`Circuit.nearest`) as ``re`` and the full
     iteration count.
     """
-    return _run_trials(cfg, faulty, ideal, [rng], _invariants(cfg, faulty))[0]
+    radius = max_acceptable_distance(cfg.width, cfg.epsilon)
+    return _run_trials(cfg, faulty, ideal, [rng], [radius], [cfg.epsilon])[0][0]
+
+
+def run_levels(
+    cfg: ExperimentConfig, epsilons: Sequence[float]
+) -> list[list[DeviationSample]]:
+    """The samples of every uncertainty level, one list per entry of ``epsilons``.
+
+    List i equals ``run_experiment(replace(cfg, epsilon=epsilons[i]))``;
+    ``cfg.epsilon`` itself is not used.  Every level is validated before
+    the first draw.  Trials go in passes of one aligned seed block
+    (:data:`_SEED_BLOCK`): a pass builds each trial's generator and walks
+    its stream once, in the chunk loop of :func:`_run_trials`, for the
+    levels' distinct accept radii at once.  Levels that share a radius get
+    the same outcomes, each labelled with its own epsilon.  Raw words are
+    drawn and dropped a group at a time, so a pass keeps only each trial's
+    generator, target, buffered half and open radii.
+    """
+    for eps in epsilons:
+        replace(cfg, epsilon=eps).validate()
+    ks = [max_acceptable_distance(cfg.width, eps) for eps in epsilons]
+    first_eps: dict[int, float] = {}  # each radius's first level
+    for k, eps in zip(ks, epsilons):
+        first_eps.setdefault(k, eps)
+    radii = sorted(first_eps)
+    ideal = cfg.circuit
+    faulty = inject_all(cfg.circuit, cfg.faults)
+    levels: list[list[DeviationSample]] = [[] for _ in epsilons]
+    for start in range(0, cfg.trials if radii else 0, _SEED_BLOCK):
+        rngs = [trial_rng(cfg.seed, t)
+                for t in range(start, min(start + _SEED_BLOCK, cfg.trials))]
+        samples = _run_trials(
+            cfg, faulty, ideal, rngs, radii, [first_eps[k] for k in radii]
+        )
+        for level, eps, k in zip(levels, epsilons, ks):
+            got = samples[radii.index(k)]
+            if eps != first_eps[k]:
+                got = [DeviationSample(s.re, s.im, s.iterations, s.accepted, eps, s.label)
+                       for s in got]
+            level += got
+    return levels
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[DeviationSample]:
     """Run ``cfg.trials`` trials in index order and return their samples.
 
     Every trial runs on its own substream (:func:`trial_rng`), so the result
-    is a pure function of the configuration.  Trials go in passes of one
-    aligned seed block (:data:`_SEED_BLOCK`); a pass builds each trial's
-    generator and runs the chunk loop of :func:`_run_trials` over all of
-    them.  Raw words are drawn and dropped a group at a time, so a pass
-    keeps only each trial's generator, target and buffered half.
+    is a pure function of the configuration.  This is :func:`run_levels` at
+    the one level ``cfg.epsilon``.
     """
-    cfg.validate()
-    ideal = cfg.circuit
-    faulty = inject_all(cfg.circuit, cfg.faults)
-    invariants = _invariants(cfg, faulty)
-    samples: list[DeviationSample] = []
-    for start in range(0, cfg.trials, _SEED_BLOCK):
-        rngs = [trial_rng(cfg.seed, t)
-                for t in range(start, min(start + _SEED_BLOCK, cfg.trials))]
-        samples += _run_trials(cfg, faulty, ideal, rngs, invariants)
-    return samples
+    return run_levels(cfg, (cfg.epsilon,))[0]

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ganfault import analysis
+from ganfault import sampler
 from ganfault.analysis import (
     DEFAULT_EPSILON_GRID,
     GateComposition,
@@ -24,6 +24,7 @@ from ganfault.analysis import (
     table1_row,
 )
 from ganfault.circuit import GateKind, identity_circuit, unary_layer, Circuit
+from ganfault.faults import Missing
 from ganfault.sampler import ComparisonMode, DeviationSample, ExperimentConfig
 
 
@@ -179,15 +180,50 @@ def test_fault_free_sweep_is_diagonal_everywhere():
     assert detect_transition(sweep, min_samples=100).epsilon_star is None
 
 
-@pytest.mark.parametrize("grid", [[0.5, 0.25, 0.1], []], ids=["decreasing", "empty"])
-def test_run_sweep_checks_grid_before_sampling(grid, monkeypatch):
-    def no_sampling(cfg):
-        raise AssertionError("run_experiment called")
+@pytest.mark.parametrize(
+    "grid, message",
+    [([0.5, 0.25, 0.1], "epsilon grid"), ([], "epsilon grid"),
+     ((0.0, 1.5), "epsilon out of range")],
+    ids=["decreasing", "empty", "out-of-range"],
+)
+def test_run_sweep_checks_grid_before_sampling(grid, message, monkeypatch):
+    def no_sampling(seed, trial):
+        raise AssertionError("trial_rng called")
 
-    monkeypatch.setattr(analysis, "run_experiment", no_sampling)
+    monkeypatch.setattr(sampler, "trial_rng", no_sampling)
     cfg = ExperimentConfig(circuit=identity_circuit(4), epsilon=0.0, trials=4, seed=1)
-    with pytest.raises(ValueError, match="epsilon grid"):
+    with pytest.raises(ValueError, match=message):
         run_sweep(cfg, grid)
+
+
+def test_run_sweep_walks_each_trial_stream_once(monkeypatch):
+    # Every level reuses trial t's stream, so one walk serves them all: a
+    # sweep builds each trial's generator once, not once per level.  A
+    # sample at a larger radius is the first candidate within it, so per
+    # trial the iteration count never grows with epsilon.
+    cfg = ExperimentConfig(
+        circuit=Circuit(8, [unary_layer(GateKind.NOT, 8)]),
+        epsilon=0.0,
+        trials=300,
+        seed=3,
+        faults=(Missing(1, 1),),
+        mode=ComparisonMode.TARGET_SEARCH,
+        max_iterations=200,
+    )
+    calls = []
+    trial_rng = sampler.trial_rng
+
+    def counting(seed, trial):
+        calls.append(trial)
+        return trial_rng(seed, trial)
+
+    monkeypatch.setattr(sampler, "trial_rng", counting)
+    sweep = run_sweep(cfg)
+    assert len(calls) == cfg.trials
+    assert [p.epsilon for p in sweep.points] == list(DEFAULT_EPSILON_GRID)
+    for trial in zip(*(p.samples for p in sweep.points)):
+        iterations = [s.iterations for s in trial]
+        assert all(b <= a for a, b in zip(iterations, iterations[1:]))
 
 
 # --- reversed-composition table ------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ganfault.circuit import (
     unary_layer,
 )
 from ganfault import sampler
+from ganfault.analysis import DEFAULT_EPSILON_GRID, run_sweep
 from ganfault.faults import InputPerturbation, Missing, ReversedPolarity, Swap, inject_all
 from ganfault.sampler import (
     ComparisonMode,
@@ -267,13 +269,45 @@ def test_run_experiment_equals_the_per_trial_loop(width):
             max_iterations=budget,
         )
         faulty = inject_all(cfg.circuit, cfg.faults)
-        screened += sampler._invariants(cfg, faulty)[3]
+        screened += (
+            mode is ComparisonMode.TARGET_SEARCH
+            and faulty.covering_radius > max_acceptable_distance(width, cfg.epsilon)
+        )
         expected = _per_trial(cfg)
         assert run_experiment(cfg) == expected, (mode, flips, budget, pairs)
         alone = [run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
                  for t in range(cfg.trials)]
         assert alone == expected, (mode, flips, budget, pairs)
     assert screened > 0 or width == 1
+
+
+@pytest.mark.parametrize("width", [*range(1, 17), 32, 33, 64])
+def test_a_sweep_equals_one_experiment_per_level(width):
+    # The sweep walks each trial's stream once for every accept radius.
+    # Each level must still get the samples its own experiment draws: both
+    # modes, 0-2 flip faults, budgets from one candidate to several chunks,
+    # and lossy circuits, whose targets are screened at the radii below
+    # their nearest output's distance, next to bijections.  The default
+    # grid maps several levels to one radius at every width up to 19, and
+    # the three-level grids check a radius that no other level shares.
+    grids = (DEFAULT_EPSILON_GRID, (0.0, 0.1, 0.2), (0.05, 0.3, 0.75))
+    cases = itertools.product(
+        ComparisonMode, (0, 1, 2), (1, 9, 600, 5000), ((), _AND, _XOR_OR)
+    )
+    for i, (mode, flips, budget, pairs) in enumerate(cases):
+        cfg = _config(
+            circuit=_circuit(width, pairs),
+            faults=(InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
+            mode=mode,
+            trials=(3, 8, 5)[i % 3],
+            seed=(width, 2**64 + width, 2**70 + 3)[i % 3],
+            max_iterations=budget,
+        )
+        grid = grids[i % 3]
+        sweep = run_sweep(cfg, grid)
+        for eps, point in zip(grid, sweep.points):
+            expected = run_experiment(replace(cfg, epsilon=eps))
+            assert point.samples == expected, (mode, flips, budget, pairs, eps)
 
 
 def test_passes_and_seed_blocks_do_not_change_samples(monkeypatch):
