@@ -597,7 +597,7 @@ def run_levels(
     (:data:`_SEED_BLOCK`): a pass builds each trial's generator and walks
     its stream once, in the chunk loop of :func:`_run_trials`, for the
     levels' distinct accept radii at once.  Levels that share a radius get
-    the same outcomes, each labelled with its own epsilon.  Raw words are
+    the same samples, each labelled with its own epsilon.  Raw words are
     drawn and dropped a group at a time, so a pass keeps only each trial's
     generator, target, buffered half and open radii.
     """
