@@ -15,14 +15,15 @@ no input is carried from one trial to the next, so the samples of an
 experiment are independent.
 
 Trials run in passes of one aligned seed block (:func:`_seed_words`), and
-all trials of a pass walk the chunks of the determinism contract together.
-For each chunk, each open trial draws its words with the generator's
-``random_raw``, a group of trials at a time; the inputs and flip uniforms
-are read out of them exactly as numpy's ``integers`` and ``random`` would
-draw them, and flips, the unreachable-target screen, evaluation and the
-accept test run as arrays over the group, whose raw words are then
-dropped.  A trial leaves the pass once settled, so no trial continues on
-its own; :func:`run_trial` is the same loop on one generator.
+the trials of a pass that its first candidate leaves open (see below) walk
+the chunks of the determinism contract together.  For each chunk, each
+open trial draws its words with the generator's ``random_raw``, a group
+of trials at a time; the inputs and flip uniforms are read out of them
+exactly as numpy's ``integers`` and ``random`` would draw them, and flips,
+the unreachable-target screen, evaluation and the accept test run as
+arrays over the group, whose raw words are then dropped.  A trial leaves
+the pass once settled, so no trial continues on its own; :func:`run_trial`
+is the same loop on one generator.
 
 One walk serves every uncertainty level of a sweep (:func:`run_levels`).
 Each level reuses trial t's stream, and its sample at accept radius K is
@@ -34,6 +35,17 @@ budget censors the rest.  A group whose only open radius is 0 keeps the
 exact-match accept test, so the bulk draws at radius 0 pay nothing for the
 others.  :func:`run_experiment` and :func:`run_trial` are the one-radius
 case.
+
+Most trials of a high-epsilon run accept their first candidate, so a pass
+first settles those without a generator (:func:`_first_hits`).  numpy's
+PCG64 seeding, jump-ahead and XSL-RR output are reproduced as uint64 arrays
+(:func:`_stream_words`), next to ``SeedSequence``'s derivation of the seed
+words, and give the words the first candidate reads straight from the seed
+words.  A trial whose first candidate lies within the smallest radius is
+settled there at every radius; only the trials left open get a generator
+and walk the chunk loop from their first word.  The pass is skipped when a
+candidate draws more than ``_FIRST_FLIP_WORDS`` flip uniforms, which cost
+more to compute this way than the generator they would save.
 
 Inputs narrower than 64 bits are not decoded.  An input of w <= 32 bits
 is the top w bits of a 32-bit half of a raw word, one of 33..63 bits the
@@ -74,7 +86,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -108,6 +120,17 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
+# numpy's PCG64 (numpy/random/src/pcg64): a 128-bit LCG with XSL-RR output.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+# Flip uniforms one candidate may draw for the first-candidate pass to run
+# (:func:`_first_hits`).  Each word costs the pass about 50-70 ns, so above
+# this a trial's generator, about 4 us, is the cheaper way to its words.
+_FIRST_FLIP_WORDS = 32
+# Words one group of that pass computes.  Its uint64 temporaries then stay
+# at 64 KiB, which the allocator reuses; at 2**15 words each was mapped and
+# faulted in afresh (about 6000 page faults per ``andnot16-cli`` rep).
+_FIRST_GROUP_WORDS = 1 << 13
 
 
 class ComparisonMode(enum.Enum):
@@ -287,6 +310,74 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(words))
 
 
+def _limbs(values: list[int]) -> tuple[np.ndarray, ...]:
+    """128-bit constants as :func:`_mul128` takes them.
+
+    Returns their high words, their low words and the low words' 32-bit
+    halves, low half first, as uint64 arrays.
+    """
+    hi, lo = (np.array([v >> s & _MASK64 for v in values], dtype=np.uint64)
+              for s in (64, 0))
+    return hi, lo, lo & _MASK32, lo >> 32
+
+
+@functools.lru_cache(maxsize=64)
+def _jumps(index: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """The multiplier A and increment factor C of each stream word in ``index``.
+
+    PCG64 seeding steps a zero state once, adds the seed state and steps
+    again, and each draw steps once before its output.  So with x the seed
+    state plus the increment, word k is the output of the state ``A * x +
+    C * inc`` (mod 2**128), where ``A = M**(k+2)`` and ``C = 1 + M + ... +
+    M**(k+1)``.  Both are returned as :func:`_limbs`.
+    """
+    steps = {k + 2 for k in index}
+    a, c, at = 1, 0, {}
+    for step in range(max(steps) + 1):
+        if step in steps:
+            at[step] = a, c
+        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
+    return tuple(_limbs([at[k + 2][i] for k in index]) for i in (0, 1))
+
+
+def _mul128(k: tuple[np.ndarray, ...], hi: np.ndarray, lo: np.ndarray):
+    """``k * (hi, lo)`` mod 2**128 as (high, low) words; ``k`` is :func:`_limbs`.
+
+    numpy multiplies uint64 mod 2**64, so only the high word of the low
+    words' product is assembled from 32-bit halves.
+    """
+    k_hi, k_lo, k0, k1 = k
+    x0, x1 = lo & _MASK32, lo >> 32
+    p00, p01, p10, p11 = k0 * x0, k0 * x1, k1 * x0, k1 * x1
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + k_lo * hi + k_hi * lo, k_lo * lo
+
+
+def _stream_words(seeds: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
+    """Words ``index`` of each PCG64 stream, as ``random_raw`` draws them.
+
+    Row r of ``seeds`` holds one stream's four seed words (:func:`_seed_words`);
+    row r of the result holds that stream's words at the stream indices
+    ``index``.  As numpy's ``PCG64`` does, the first two seed words are the
+    state's high and low word and the last two give the increment ``(seq <<
+    1) | 1``; each state jumps ahead to its words (:func:`_jumps`), and the
+    output is XSL-RR: the state's two words XORed, rotated right by its top
+    six bits.
+    """
+    a, c = _jumps(index)
+    s_hi, s_lo, q_hi, q_lo = (seeds[:, i, None] for i in range(4))
+    inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
+    x_lo = s_lo + inc_lo
+    x_hi = s_hi + inc_hi + (x_lo < s_lo)
+    ax_hi, ax_lo = _mul128(a, x_hi, x_lo)
+    ci_hi, ci_lo = _mul128(c, inc_hi, inc_lo)
+    lo = ax_lo + ci_lo
+    hi = ax_hi + ci_hi + (lo < ax_lo)
+    value, rot = hi ^ lo, hi >> 58
+    return (value >> rot) | (value << ((64 - rot) & 63))
+
+
 def _flip_limits(probs: Sequence[float]) -> np.ndarray:
     """Each flip probability p as the limit ``ceil(p * 2**53)``.
 
@@ -401,16 +492,35 @@ def _draw(
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
     """One chunk for a group of trials, drawn as :func:`_layout` lays it out.
 
+    Each call's words are drawn with ``random_raw`` and read by
+    :func:`_decode`, one call at a time.
+    """
+    raws = (
+        np.concatenate([rng.bit_generator.random_raw(words) for rng in rngs])
+        .reshape(len(rngs), words)
+        for words, _ in calls
+    )
+    return _decode(raws, calls, width, n, limits, target, half)
+
+
+def _decode(
+    raws: Iterable[np.ndarray],
+    calls: tuple,
+    width: int,
+    n: int,
+    limits: np.ndarray,
+    target: np.ndarray | None,
+    half: np.ndarray | None,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+    """The draws of one chunk, from each call's raw words in ``raws``.
+
     Returns each trial's target (drawn in this chunk or passed in), the
     32-bit half it leaves buffered, its candidates, and its candidates with
     its flips applied, all left-aligned in their lanes (:func:`_inputs`);
     only the target has its bits below cleared.
     """
     shift = _lane(width) - width
-    for words, segments in calls:
-        raw = np.concatenate(
-            [rng.bit_generator.random_raw(words) for rng in rngs]
-        ).reshape(len(rngs), words)
+    for raw, (_, segments) in zip(raws, calls):
         for kind, start, stop, lo, hi in segments:
             if kind == _TARGET:
                 target, half = _inputs(raw[:, lo:hi], width, 1, half)
@@ -560,6 +670,67 @@ def _run_trials(
     return samples
 
 
+@functools.lru_cache(maxsize=64)
+def _first_layout(width: int, n: int, flips: int, target: bool):
+    """The stream words a trial's first candidate reads, and their layout.
+
+    These are the first chunk's target and input words (:func:`_layout`)
+    and, for each flip fault, the first candidate's ``width`` uniforms.
+    Returns their stream indices and one call over the words at those
+    indices: the chunk's target and input segments as they are, then one
+    flip segment of every fault for candidate 0 alone.  At most
+    ``_FIRST_FLIP_WORDS`` uniforms per candidate keep the chunk one call
+    with one flip segment, which starts at candidate 0.
+    """
+    ((_, segments),), _, _ = _layout(width, n, flips, target, False)
+    heads = tuple(s for s in segments if not isinstance(s[0], slice))
+    index = list(range(heads[-1][4]))
+    for _, _, stop, lo, _ in segments[len(heads):]:
+        for at in range(lo, lo + flips * stop * width, stop * width):
+            index += range(at, at + width)
+    flip = ((slice(0, flips), 0, 1, heads[-1][4], len(index)),) if flips else ()
+    return tuple(index), ((len(index), heads + flip),)
+
+
+def _first_hits(
+    cfg: ExperimentConfig,
+    faulty: Circuit,
+    ideal: Circuit,
+    seeds: np.ndarray,
+    radius: int,
+) -> tuple[np.ndarray, list[int], list[int]]:
+    """The trials whose first candidate lies within ``radius`` of its reference.
+
+    Row r of ``seeds`` holds one trial's seed words (:func:`_seed_words`).
+    The words the first candidate reads (:func:`_first_layout`) are computed
+    from them (:func:`_stream_words`), a group of trials at a time, and
+    decoded, flipped and evaluated as the chunk loop would, left-aligned in
+    their lanes.  Returns which rows hit, and the hit rows' output and
+    reference, shifted down.  No row hits when a candidate draws more than
+    ``_FIRST_FLIP_WORDS`` flip uniforms: those trials' generators reach
+    their words sooner.
+    """
+    width, search = cfg.width, cfg.mode is ComparisonMode.TARGET_SEARCH
+    limits = _flip_limits(perturbations(cfg.faults))
+    if len(limits) * width > _FIRST_FLIP_WORDS:
+        return np.zeros(len(seeds), dtype=bool), [], []
+    n = min(_CHUNK_FIRST, cfg.max_iterations)
+    index, calls = _first_layout(width, n, len(limits), search)
+    shift = _lane(width) - width
+    rows = _FIRST_GROUP_WORDS // len(index)
+    hits, res, ims = [], [], []
+    for g in range(0, len(seeds), rows):
+        raw = _stream_words(seeds[g : g + rows], index)
+        target, _, gs, flipped = _decode((raw,), calls, width, n, limits, None, None)
+        re = faulty.evaluate_batch(flipped[:, 0], shift)
+        im = target if search else ideal.evaluate_batch(gs[:, 0], shift)
+        hit = np.bitwise_count(re ^ im) <= radius
+        hits.append(hit)
+        res += (re[hit] >> shift).tolist()
+        ims += (im[hit] >> shift).tolist()
+    return np.concatenate(hits), res, ims
+
+
 def run_trial(
     cfg: ExperimentConfig,
     faulty: Circuit,
@@ -594,11 +765,15 @@ def run_levels(
     List i equals ``run_experiment(replace(cfg, epsilon=epsilons[i]))``;
     ``cfg.epsilon`` itself is not used.  Every level is validated before
     the first draw.  Trials go in passes of one aligned seed block
-    (:data:`_SEED_BLOCK`): a pass builds each trial's generator and walks
-    its stream once, in the chunk loop of :func:`_run_trials`, for the
-    levels' distinct accept radii at once.  Levels that share a radius get
-    the same samples, each labelled with its own epsilon.  Raw words are
-    drawn and dropped a group at a time, so a pass keeps only each trial's
+    (:data:`_SEED_BLOCK`).  A pass first settles, from the block's seed
+    words, every trial whose first candidate lies within the smallest
+    accept radius (:func:`_first_hits`): its sample at every radius is that
+    candidate, after one iteration, accepted.  It then builds a generator
+    for each trial left open and walks its stream once, from its first
+    word, in the chunk loop of :func:`_run_trials`, for the levels'
+    distinct accept radii at once.  Levels that share a radius get the same
+    samples, each labelled with its own epsilon.  Raw words are drawn and
+    dropped a group at a time, so a pass keeps only each open trial's
     generator, target, buffered half and open radii.
     """
     for eps in epsilons:
@@ -610,13 +785,23 @@ def run_levels(
     radii = sorted(first_eps)
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
+    label = cfg.resolved_label()
     levels: list[list[DeviationSample]] = [[] for _ in epsilons]
     for start in range(0, cfg.trials if radii else 0, _SEED_BLOCK):
-        rngs = [trial_rng(cfg.seed, t)
-                for t in range(start, min(start + _SEED_BLOCK, cfg.trials))]
+        seeds = _seed_words(cfg.seed, start // _SEED_BLOCK)[: cfg.trials - start]
+        hit, res, ims = _first_hits(cfg, faulty, ideal, seeds, radii[0])
+        rest, settled = np.flatnonzero(~hit).tolist(), np.flatnonzero(hit).tolist()
+        rngs = [trial_rng(cfg.seed, start + r) for r in rest]
         samples = _run_trials(
             cfg, faulty, ideal, rngs, radii, [first_eps[k] for k in radii]
         )
+        for j, k in enumerate(radii if settled else ()):
+            got: list = [None] * len(seeds)
+            for r, s in zip(rest, samples[j]):
+                got[r] = s
+            for r, x, y in zip(settled, res, ims):
+                got[r] = DeviationSample(x << 1, y << 1, 1, True, first_eps[k], label)
+            samples[j] = got
         for level, eps, k in zip(levels, epsilons, ks):
             got = samples[radii.index(k)]
             if eps != first_eps[k]:

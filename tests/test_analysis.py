@@ -24,7 +24,7 @@ from ganfault.analysis import (
     table1_row,
 )
 from ganfault.circuit import GateKind, identity_circuit, unary_layer, Circuit
-from ganfault.faults import Missing
+from ganfault.faults import InputPerturbation, Missing
 from ganfault.sampler import ComparisonMode, DeviationSample, ExperimentConfig
 
 
@@ -198,16 +198,27 @@ def test_run_sweep_checks_grid_before_sampling(grid, message, monkeypatch):
 
 def test_run_sweep_walks_each_trial_stream_once(monkeypatch):
     # Every level reuses trial t's stream, so one walk serves them all: a
-    # sweep builds each trial's generator once, not once per level.  A
-    # sample at a larger radius is the first candidate within it, so per
-    # trial the iteration count never grows with epsilon.
-    cfg = ExperimentConfig(
+    # sweep builds a trial's generator at most once, not once per level.  A
+    # trial whose first candidate lies within the lowest level's radius is
+    # settled from its seed words and builds none, unless a candidate draws
+    # more flip uniforms than that pass computes (three flip faults at width
+    # 16).  A sample at a larger radius is the first candidate within it, so
+    # per trial the iteration count never grows with epsilon.
+    search = ExperimentConfig(
         circuit=Circuit(8, [unary_layer(GateKind.NOT, 8)]),
         epsilon=0.0,
         trials=300,
         seed=3,
         faults=(Missing(1, 1),),
         mode=ComparisonMode.TARGET_SEARCH,
+        max_iterations=200,
+    )
+    flips = ExperimentConfig(
+        circuit=Circuit(16, [unary_layer(GateKind.NOT, 16)]),
+        epsilon=0.0,
+        trials=300,
+        seed=3,
+        faults=(InputPerturbation(0.01),) * 3,
         max_iterations=200,
     )
     calls = []
@@ -218,12 +229,19 @@ def test_run_sweep_walks_each_trial_stream_once(monkeypatch):
         return trial_rng(seed, trial)
 
     monkeypatch.setattr(sampler, "trial_rng", counting)
-    sweep = run_sweep(cfg)
-    assert len(calls) == cfg.trials
-    assert [p.epsilon for p in sweep.points] == list(DEFAULT_EPSILON_GRID)
-    for trial in zip(*(p.samples for p in sweep.points)):
-        iterations = [s.iterations for s in trial]
-        assert all(b <= a for a, b in zip(iterations, iterations[1:]))
+    for cfg, grid in ((search, DEFAULT_EPSILON_GRID), (flips, (0.25, 0.5))):
+        calls.clear()
+        sweep = run_sweep(cfg, grid)
+        assert [p.epsilon for p in sweep.points] == list(grid)
+        first = [(s.iterations, s.accepted) == (1, True) for s in sweep.points[0].samples]
+        if cfg is flips:
+            assert all(first) and calls == list(range(cfg.trials))
+        else:
+            assert any(first) and not all(first)
+            assert calls == [t for t, hit in enumerate(first) if not hit]
+        for trial in zip(*(p.samples for p in sweep.points)):
+            iterations = [s.iterations for s in trial]
+            assert all(b <= a for a, b in zip(iterations, iterations[1:]))
 
 
 # --- reversed-composition table ------------------------------------------

@@ -142,10 +142,21 @@ def test_rerun_reproduces_samples():
 
 def test_run_experiment_looks_up_trial_rng_at_call_time(monkeypatch):
     # Span tracing replaces these module globals; a local alias would bypass it.
-    cfg = _config(
+    # A trial whose first candidate is accepted is settled from its seed
+    # words and builds no generator, unless a candidate draws more than 32
+    # flip uniforms (three flip faults at width 16); every other trial
+    # builds one, once and in index order.
+    search = _config(
         trials=40, seed=5, mode=ComparisonMode.TARGET_SEARCH, max_iterations=200
     )
-    expected = run_experiment(cfg)
+    compare = _config(
+        circuit=_circuit(16, _AND),
+        faults=(Missing(2, 1), InputPerturbation(0.3)),
+        epsilon=0.5,
+        trials=40,
+        seed=5,
+    )
+    above = replace(compare, faults=(InputPerturbation(0.3),) * 3)
     calls = []
 
     def tracking(seed, trial):
@@ -155,10 +166,19 @@ def test_run_experiment_looks_up_trial_rng_at_call_time(monkeypatch):
     def unused(*args, **kwargs):
         raise AssertionError("run_experiment entered run_trial")
 
-    monkeypatch.setattr(sampler, "trial_rng", tracking)
-    monkeypatch.setattr(sampler, "run_trial", unused)
-    assert run_experiment(cfg) == expected
-    assert calls == list(range(cfg.trials))
+    for cfg in (search, compare, above):
+        expected = run_experiment(cfg)
+        first = [(s.iterations, s.accepted) == (1, True) for s in expected]
+        assert any(first) and not all(first)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sampler, "trial_rng", tracking)
+            m.setattr(sampler, "run_trial", unused)
+            assert run_experiment(cfg) == expected
+        if cfg is above:
+            assert calls == list(range(cfg.trials))
+        else:
+            assert calls == [t for t, hit in enumerate(first) if not hit]
 
 
 _AND = (GateKind.AND,)
@@ -179,6 +199,27 @@ def _circuit(width: int, pairs: tuple[GateKind, ...] = ()) -> Circuit:
         slots += [GateSlot(GateKind.BUFFER, width)] * (width % 2)
         layers.insert(0, Layer(slots))
     return Circuit(width, layers)
+
+
+def _first_hit_cases(width: int, **kwargs) -> list[ExperimentConfig]:
+    """Runs in which, at epsilon 0.5, most trials accept their first candidate.
+
+    Fault-compare with a missing NOT, with and without a flip fault, and a
+    target search on AND pairs followed by XOR on every other pair, which
+    leaves those pairs constant: targets more than half the width from every
+    output are screened.  Budgets of one candidate and of one past the
+    first chunk.
+    """
+    lossy = Circuit(width, [_circuit(width, p).layers[0]
+                            for p in (_AND, (GateKind.XOR, GateKind.AND))])
+    cases = []
+    for budget in (1, 9):
+        for faults in ((Missing(2, 1),), (Missing(2, 1), InputPerturbation(0.3))):
+            cases.append(_config(circuit=_circuit(width, _AND), faults=faults,
+                                 max_iterations=budget, **kwargs))
+        cases.append(_config(circuit=lossy, mode=ComparisonMode.TARGET_SEARCH,
+                             max_iterations=budget, **kwargs))
+    return cases
 
 
 _BIT_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
@@ -279,6 +320,9 @@ def test_run_experiment_equals_the_per_trial_loop(width):
                  for t in range(cfg.trials)]
         assert alone == expected, (mode, flips, budget, pairs)
     assert screened > 0 or width == 1
+    if width in (16, 32, 33, 64):
+        for cfg in _first_hit_cases(width, epsilon=0.5, trials=40, seed=2**64 + width):
+            assert run_experiment(cfg) == _per_trial(cfg), (cfg.mode, cfg.faults)
 
 
 @pytest.mark.parametrize("width", [*range(1, 17), 32, 33, 64])
@@ -308,6 +352,14 @@ def test_a_sweep_equals_one_experiment_per_level(width):
         for eps, point in zip(grid, sweep.points):
             expected = run_experiment(replace(cfg, epsilon=eps))
             assert point.samples == expected, (mode, flips, budget, pairs, eps)
+    if width in (16, 32, 33, 64):
+        grid = (0.375, 0.5)
+        for cfg in _first_hit_cases(width, trials=40, seed=2**64 + width):
+            sweep = run_sweep(cfg, grid)
+            for eps, point in zip(grid, sweep.points):
+                expected = run_experiment(replace(cfg, epsilon=eps))
+                assert expected == _per_trial(replace(cfg, epsilon=eps))
+                assert point.samples == expected, (cfg.mode, cfg.faults, eps)
 
 
 def test_passes_and_seed_blocks_do_not_change_samples(monkeypatch):
@@ -495,6 +547,31 @@ def test_trial_rng_generators_advance_independently():
     drawn = a.random(32)
     _assert_same_stream(b, _seed_sequence_rng(3, 7))
     assert np.array_equal(trial_rng(3, 7).random(32), drawn)
+
+
+_STREAM_INDEX = (0, 1, 4, 19, 131, 4103)
+
+
+@pytest.mark.parametrize("seed", _SEEDS)
+def test_stream_words_equal_numpys(seed):
+    # PCG64 seeded and stepped as arrays: the first words, a first chunk's
+    # flip uniforms and words far beyond the first chunk.
+    for trial in _TRIALS:
+        block, row = divmod(trial, sampler._SEED_BLOCK)
+        seeds = sampler._seed_words(seed, block)[row : row + 1]
+        got = sampler._stream_words(seeds, _STREAM_INDEX)[0].tolist()
+        want = [int(trial_rng(seed, trial).bit_generator.random_raw(k + 1)[k])
+                for k in _STREAM_INDEX]
+        assert got == want, (seed, trial)
+
+
+def test_stream_words_equal_numpys_on_every_row_of_two_blocks():
+    for block in (0, 1):
+        got = sampler._stream_words(sampler._seed_words(9, block), (0, 19))
+        for row in range(sampler._SEED_BLOCK):
+            t = block * sampler._SEED_BLOCK + row
+            want = trial_rng(9, t).bit_generator.random_raw(20)[[0, 19]]
+            assert got[row].tolist() == want.tolist(), t
 
 
 @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1)])
