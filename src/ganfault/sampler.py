@@ -34,7 +34,9 @@ a hit at distance d settles every open radius >= d, and the end of the
 budget censors the rest.  A group whose only open radius is 0 keeps the
 exact-match accept test, so the bulk draws at radius 0 pay nothing for the
 others.  :func:`run_experiment` and :func:`run_trial` are the one-radius
-case.
+case.  A settled trial is written into its pass's columns (:data:`_COLUMNS`),
+one row per radius; samples are built in one place (:func:`_samples`), a
+radius row at a time, labelled with the level's own epsilon.
 
 Most trials of a high-epsilon run accept their first candidate, so a pass
 first settles those without a generator (:func:`_first_hits`).  numpy's
@@ -131,6 +133,11 @@ _FIRST_FLIP_WORDS = 32
 # at 64 KiB, which the allocator reuses; at 2**15 words each was mapped and
 # faulted in afresh (about 6000 page faults per ``andnot16-cli`` rep).
 _FIRST_GROUP_WORDS = 1 << 13
+# Where a pass settles its trials: one row per accept radius, one column per
+# trial.  The output and reference are shifted down but not yet doubled
+# into re and im, which reaches 2**65 - 2 at width 64.
+_COLUMNS = np.dtype([("out", np.uint64), ("ref", np.uint64),
+                     ("iterations", np.int64), ("accepted", np.bool_)])
 
 
 class ComparisonMode(enum.Enum):
@@ -175,6 +182,14 @@ class DeviationSample:
     accepted: bool
     epsilon: float
     label: str
+
+
+def _samples(row: np.ndarray, epsilon: float, label: str) -> list[DeviationSample]:
+    """The samples of one radius row of :data:`_COLUMNS`, at one level."""
+    return [
+        DeviationSample(x << 1, y << 1, i, a, epsilon, label)
+        for x, y, i, a in zip(*(row[name].tolist() for name in _COLUMNS.names))
+    ]
 
 
 @dataclass
@@ -481,6 +496,12 @@ def _take(arrays: tuple, index) -> tuple:
     return tuple(None if a is None else a[index] for a in arrays)
 
 
+def _settle(cols: np.ndarray, at: tuple, out, ref, iterations, accepted) -> None:
+    """Write settled trials into ``cols`` (:data:`_COLUMNS`) at (radii, trials) ``at``."""
+    for name, value in zip(_COLUMNS.names, (out, ref, iterations, accepted)):
+        cols[name][at] = value
+
+
 def _draw(
     rngs: Sequence[np.random.Generator],
     calls: tuple,
@@ -539,20 +560,22 @@ def _run_trials(
     cfg: ExperimentConfig,
     faulty: Circuit,
     ideal: Circuit,
-    rngs: Sequence[np.random.Generator],
+    rngs: dict[int, np.random.Generator],
     radii: Sequence[int],
-    epsilons: Sequence[float],
-) -> list[list[DeviationSample]]:
-    """Each trial's sample at each accept radius, one trial per fresh generator.
+    cols: np.ndarray,
+) -> None:
+    """Settle each trial at each accept radius, one trial per fresh generator.
 
-    ``radii`` are sorted and distinct; entry ``[j][t]`` is trial t's sample
-    at radius ``radii[j]``, labelled with ``epsilons[j]``.  The trials walk
-    the chunks together.  In each chunk every open trial draws its
-    words with ``random_raw`` (:func:`_layout`), and a group of trials at a
-    time is flipped, screened (first chunk only), evaluated and accepted as
-    arrays, on the inputs left-aligned in their raw lanes: the circuits
-    evaluate there (``shift``), a target search folds each target into the
-    constant term, and only settled values are shifted back down.
+    ``rngs`` maps column t of ``cols`` (:data:`_COLUMNS`) to its trial's
+    generator, columns in ascending order; ``radii`` are sorted and
+    distinct, and the trial's sample at radius ``radii[j]`` is written to
+    ``cols[j, t]``.  The trials walk the chunks together.  In each chunk
+    every open trial draws its words with ``random_raw`` (:func:`_layout`),
+    and a group of trials at a time is flipped, screened (first chunk
+    only), evaluated and accepted as arrays, on the inputs left-aligned in
+    their raw lanes: the circuits evaluate there (``shift``), a target
+    search folds each target into the constant term, and only settled
+    values are shifted back down.
 
     A trial's open radii are the range ``lo..hi``.  The screen raises
     ``lo`` past every radius below the target's distance to the nearest
@@ -570,9 +593,7 @@ def _run_trials(
     ks = np.array(radii, dtype=np.uint8)
     screen = search and faulty.covering_radius > radii[0]
     shift = _lane(width) - width
-    label = cfg.resolved_label()
-    samples: list = [[None] * len(rngs) for _ in radii]
-    trials, targets, halves = np.arange(len(rngs)), None, None
+    trials, targets, halves = np.array(list(rngs), dtype=np.intp), None, None
     lo, hi = np.zeros_like(trials), np.full_like(trials, len(radii))
     drawn, size, buffered = 0, _CHUNK_FIRST, False
     while len(trials):
@@ -594,13 +615,8 @@ def _run_trials(
                 distance, nearest = faulty.nearest(target >> shift)
                 los = np.searchsorted(ks, distance)
                 rs, js = np.nonzero(np.arange(len(radii)) < los[:, None])
-                for t, j, x, y in zip(
-                    ts[rs].tolist(), js.tolist(), nearest[rs].tolist(),
-                    (target[rs] >> shift).tolist(),
-                ):
-                    samples[j][t] = DeviationSample(
-                        x << 1, y << 1, budget, False, epsilons[j], label
-                    )
+                _settle(cols, (js, ts[rs]), nearest[rs], target[rs] >> shift,
+                        budget, False)
                 ts, target, half, gs, flipped, los, his = _take(
                     (ts, target, half, gs, flipped, los, his), los < his
                 )
@@ -626,7 +642,7 @@ def _run_trials(
                 hit = score[np.arange(len(first)), first] == 0
                 settled = hit | last
                 rs, keep = np.flatnonzero(settled), ~settled
-                js, ok, first = [int(glo)] * len(rs), hit[rs], first[rs]
+                js, ok, first = glo, hit[rs], first[rs]
             else:
                 # Row r hits radius js[c] when its nearest candidate is
                 # within it; only the rows that settle look for the first.
@@ -637,7 +653,6 @@ def _run_trials(
                 rs, cs = np.nonzero(open_ & (hit | last))
                 js, ok = js[cs], hit[rs, cs]
                 first = (dist[rs] <= ks[js, None]).argmax(axis=1)
-                js = js.tolist()
                 his = los + (open_ & ~hit).sum(axis=1)
                 keep = (his > los) & (not last)
             if len(rs):
@@ -647,11 +662,7 @@ def _run_trials(
                     re = diff[rs, at] ^ im
                 else:
                     re, im = modulated[rs, at], reference[rs, at]
-                for t, j, x, y, i, a in zip(
-                    ts[rs].tolist(), js, (re >> shift).tolist(),
-                    (im >> shift).tolist(), (at + drawn + 1).tolist(), ok.tolist(),
-                ):
-                    samples[j][t] = DeviationSample(x << 1, y << 1, i, a, epsilons[j], label)
+                _settle(cols, (js, ts[rs]), re >> shift, im >> shift, at + drawn + 1, ok)
                 ts, target, half, los, his = _take((ts, target, half, los, his), keep)
             kept.append((ts, target, half, los, his))
         if not kept:  # every target was screened out
@@ -667,7 +678,6 @@ def _run_trials(
             )
         drawn += n
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
-    return samples
 
 
 @functools.lru_cache(maxsize=64)
@@ -698,37 +708,40 @@ def _first_hits(
     ideal: Circuit,
     seeds: np.ndarray,
     radius: int,
-) -> tuple[np.ndarray, list[int], list[int]]:
-    """The trials whose first candidate lies within ``radius`` of its reference.
+    cols: np.ndarray,
+) -> np.ndarray:
+    """Settle the trials whose first candidate lies within ``radius`` of its reference.
 
-    Row r of ``seeds`` holds one trial's seed words (:func:`_seed_words`).
-    The words the first candidate reads (:func:`_first_layout`) are computed
-    from them (:func:`_stream_words`), a group of trials at a time, and
-    decoded, flipped and evaluated as the chunk loop would, left-aligned in
-    their lanes.  Returns which rows hit, and the hit rows' output and
-    reference, shifted down.  No row hits when a candidate draws more than
+    Row r of ``seeds`` holds the seed words (:func:`_seed_words`) of the
+    trial in column r of ``cols`` (:data:`_COLUMNS`).  The words the first
+    candidate reads (:func:`_first_layout`) are computed from them
+    (:func:`_stream_words`), a group of trials at a time, and decoded,
+    flipped and evaluated as the chunk loop would, left-aligned in their
+    lanes.  ``radius`` is the smallest of the rows' radii, so a hit settles
+    its column in every row, after one iteration, accepted.  Returns which
+    trials hit.  None hits when a candidate draws more than
     ``_FIRST_FLIP_WORDS`` flip uniforms: those trials' generators reach
     their words sooner.
     """
     width, search = cfg.width, cfg.mode is ComparisonMode.TARGET_SEARCH
     limits = _flip_limits(perturbations(cfg.faults))
     if len(limits) * width > _FIRST_FLIP_WORDS:
-        return np.zeros(len(seeds), dtype=bool), [], []
+        return np.zeros(len(seeds), dtype=bool)
     n = min(_CHUNK_FIRST, cfg.max_iterations)
     index, calls = _first_layout(width, n, len(limits), search)
     shift = _lane(width) - width
     rows = _FIRST_GROUP_WORDS // len(index)
-    hits, res, ims = [], [], []
+    hits = []
     for g in range(0, len(seeds), rows):
         raw = _stream_words(seeds[g : g + rows], index)
         target, _, gs, flipped = _decode((raw,), calls, width, n, limits, None, None)
         re = faulty.evaluate_batch(flipped[:, 0], shift)
         im = target if search else ideal.evaluate_batch(gs[:, 0], shift)
         hit = np.bitwise_count(re ^ im) <= radius
+        at = (slice(None), g + np.flatnonzero(hit))
+        _settle(cols, at, re[hit] >> shift, im[hit] >> shift, 1, True)
         hits.append(hit)
-        res += (re[hit] >> shift).tolist()
-        ims += (im[hit] >> shift).tolist()
-    return np.concatenate(hits), res, ims
+    return np.concatenate(hits)
 
 
 def run_trial(
@@ -753,8 +766,10 @@ def run_trial(
     the nearest output (:meth:`Circuit.nearest`) as ``re`` and the full
     iteration count.
     """
+    cols = np.zeros((1, 1), dtype=_COLUMNS)
     radius = max_acceptable_distance(cfg.width, cfg.epsilon)
-    return _run_trials(cfg, faulty, ideal, [rng], [radius], [cfg.epsilon])[0][0]
+    _run_trials(cfg, faulty, ideal, {0: rng}, [radius], cols)
+    return _samples(cols[0], cfg.epsilon, cfg.resolved_label())[0]
 
 
 def run_levels(
@@ -765,49 +780,33 @@ def run_levels(
     List i equals ``run_experiment(replace(cfg, epsilon=epsilons[i]))``;
     ``cfg.epsilon`` itself is not used.  Every level is validated before
     the first draw.  Trials go in passes of one aligned seed block
-    (:data:`_SEED_BLOCK`).  A pass first settles, from the block's seed
-    words, every trial whose first candidate lies within the smallest
-    accept radius (:func:`_first_hits`): its sample at every radius is that
-    candidate, after one iteration, accepted.  It then builds a generator
-    for each trial left open and walks its stream once, from its first
-    word, in the chunk loop of :func:`_run_trials`, for the levels'
-    distinct accept radii at once.  Levels that share a radius get the same
-    samples, each labelled with its own epsilon.  Raw words are drawn and
-    dropped a group at a time, so a pass keeps only each open trial's
-    generator, target, buffered half and open radii.
+    (:data:`_SEED_BLOCK`), each settling its trials into one row of
+    columns (:data:`_COLUMNS`) per distinct accept radius.  A pass first
+    settles, from the block's seed words, every trial whose first candidate
+    lies within the smallest radius, at every radius (:func:`_first_hits`).
+    It then builds a generator for each trial left open and walks its
+    stream once, from its first word, in the chunk loop of
+    :func:`_run_trials`, for every radius at once.  Each level then gets
+    the samples of its radius's row (:func:`_samples`).  Raw words are
+    drawn and dropped a group at a time, so a pass keeps only its columns
+    and each open trial's generator, target, buffered half and open radii.
     """
     for eps in epsilons:
         replace(cfg, epsilon=eps).validate()
     ks = [max_acceptable_distance(cfg.width, eps) for eps in epsilons]
-    first_eps: dict[int, float] = {}  # each radius's first level
-    for k, eps in zip(ks, epsilons):
-        first_eps.setdefault(k, eps)
-    radii = sorted(first_eps)
+    radii = sorted(set(ks))
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
     label = cfg.resolved_label()
     levels: list[list[DeviationSample]] = [[] for _ in epsilons]
     for start in range(0, cfg.trials if radii else 0, _SEED_BLOCK):
         seeds = _seed_words(cfg.seed, start // _SEED_BLOCK)[: cfg.trials - start]
-        hit, res, ims = _first_hits(cfg, faulty, ideal, seeds, radii[0])
-        rest, settled = np.flatnonzero(~hit).tolist(), np.flatnonzero(hit).tolist()
-        rngs = [trial_rng(cfg.seed, start + r) for r in rest]
-        samples = _run_trials(
-            cfg, faulty, ideal, rngs, radii, [first_eps[k] for k in radii]
-        )
-        for j, k in enumerate(radii if settled else ()):
-            got: list = [None] * len(seeds)
-            for r, s in zip(rest, samples[j]):
-                got[r] = s
-            for r, x, y in zip(settled, res, ims):
-                got[r] = DeviationSample(x << 1, y << 1, 1, True, first_eps[k], label)
-            samples[j] = got
+        cols = np.zeros((len(radii), len(seeds)), dtype=_COLUMNS)
+        hit = _first_hits(cfg, faulty, ideal, seeds, radii[0], cols)
+        rngs = {r: trial_rng(cfg.seed, start + r) for r in np.flatnonzero(~hit).tolist()}
+        _run_trials(cfg, faulty, ideal, rngs, radii, cols)
         for level, eps, k in zip(levels, epsilons, ks):
-            got = samples[radii.index(k)]
-            if eps != first_eps[k]:
-                got = [DeviationSample(s.re, s.im, s.iterations, s.accepted, eps, s.label)
-                       for s in got]
-            level += got
+            level += _samples(cols[radii.index(k)], eps, label)
     return levels
 
 

@@ -362,6 +362,28 @@ def test_a_sweep_equals_one_experiment_per_level(width):
                 assert point.samples == expected, (cfg.mode, cfg.faults, eps)
 
 
+def test_run_levels_gives_each_level_its_own_experiment():
+    # Unsorted levels, some repeated, over 1030 trials, which cross two seed
+    # blocks.  In the first grid 0.0 and 0.05 share radius 0; in the second
+    # the first candidate settles most trials at every radius at once.  Each
+    # list is that level's own experiment and carries its epsilon alone.
+    grids = ((0.5, 0.0, 0.125, 0.5, 0.05, 1.0), (0.5, 0.375, 1.0, 0.375))
+    for mode, levels in itertools.product(ComparisonMode, grids):
+        cfg = _config(
+            circuit=_circuit(16, _AND),
+            faults=(Missing(2, 1), InputPerturbation(0.05)),
+            mode=mode,
+            trials=1030,
+            max_iterations=40,
+        )
+        got = sampler.run_levels(cfg, levels)
+        assert len(got) == len(levels)
+        for eps, samples in zip(levels, got):
+            assert {s.epsilon for s in samples} == {eps}
+            assert samples == run_experiment(replace(cfg, epsilon=eps)), (mode, eps)
+    assert sampler.run_levels(cfg, ()) == []
+
+
 def test_passes_and_seed_blocks_do_not_change_samples(monkeypatch):
     cfg = _config(
         circuit=_circuit(8, _AND),
