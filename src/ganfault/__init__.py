@@ -38,6 +38,7 @@ from .sampler import (
     ComparisonMode,
     DeviationSample,
     ExperimentConfig,
+    Samples,
     deviation,
     relative_uncertainty,
     run_experiment,

@@ -20,6 +20,8 @@ from .circuit import GateKind, eval_gate
 from .sampler import (
     DeviationSample,
     ExperimentConfig,
+    Samples,
+    as_samples,
     max_acceptable_distance,
     run_experiment,  # unused here; perfbench's tracer patches this name
     run_levels,
@@ -67,13 +69,16 @@ def _least_squares(
 
 
 def fit_linear(samples: Sequence[DeviationSample], width: int) -> LinearFit:
-    """Least-squares line re = slope * im + intercept over the samples."""
-    n = len(samples)
+    """Least-squares line re = slope * im + intercept over the samples.
+
+    re and im are Python ints, so the sums are exact.
+    """
+    s = as_samples(samples)
+    n = len(s)
     if n < 2:
         raise ValueError("degenerate abscissa: need at least two samples")
     slope, intercept, r_squared, ss_res = _least_squares(
-        [s.im for s in samples], [s.re for s in samples],
-        "degenerate abscissa: all im values equal",
+        s.im, s.re, "degenerate abscissa: all im values equal"
     )
     rho = math.sqrt(ss_res / n) / full_scale(width)
     return LinearFit(slope, intercept, r_squared, rho)
@@ -84,7 +89,7 @@ class SweepPoint:
     """Per-epsilon results of a sweep."""
 
     epsilon: float
-    samples: list[DeviationSample]
+    samples: Samples
     accepted_count: int
     fit: LinearFit | None
     mean_iterations: float | None
@@ -115,16 +120,17 @@ def _check_grid(epsilons: Sequence[float]) -> None:
 
 
 def summarize_point(
-    epsilon: float, samples: list[DeviationSample], width: int
+    epsilon: float, samples: Sequence[DeviationSample], width: int
 ) -> SweepPoint:
-    accepted = [s for s in samples if s.accepted]
+    samples = as_samples(samples)
+    accepted = samples[samples.accepted]
     fit = None
     if len(accepted) >= 2:
         try:
             fit = fit_linear(accepted, width)
         except ValueError:
             fit = None
-    iters = [s.iterations for s in accepted]
+    iters = accepted.iterations.tolist()
     return SweepPoint(
         epsilon=epsilon,
         samples=samples,

@@ -273,7 +273,7 @@ def cmd_simulate(cfg: dict) -> int:
     size = cfg["canvas"]
     svg = emit.render_scatter(samples, exp.width, canvas=(size, size))
     (out / "scatter.svg").write_text(svg, encoding="utf-8")
-    accepted = sum(1 for s in samples if s.accepted)
+    accepted = int(samples.accepted.sum())
     print(f"simulate: {len(samples)} trials, {accepted} accepted -> {out}")
     return 0
 

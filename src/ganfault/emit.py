@@ -6,7 +6,10 @@ value, ``None`` an empty cell); :func:`json_text` writes run.json,
 transition.json, spectrum.json, table1.json and the dataset manifest
 (sorted keys, 2-space indent, final newline), each document built from
 its result dataclass with ``asdict``.  SVG scatter documents and
-plain-text PGM rasters are the visual artifacts.
+plain-text PGM rasters are the visual artifacts.  The sample table, the
+scatter and the histogram read the sampler's columns
+(:class:`~ganfault.sampler.Samples`); a sequence of rows is turned into
+columns once.
 
 Everything here is a pure function of its inputs: the same results give
 byte-identical files, which is what makes double-run comparisons a
@@ -26,7 +29,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .analysis import SweepPoint, full_scale
-from .sampler import DeviationSample, ExperimentConfig, run_experiment
+from .sampler import (
+    DeviationSample,
+    ExperimentConfig,
+    Samples,
+    as_samples,
+    run_experiment,
+)
 
 CSV_HEADER = ("trial", "epsilon", "re", "im", "iterations", "accepted", "label")
 MANIFEST_VERSION = 1
@@ -56,10 +65,12 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def samples_to_csv(samples: Sequence[DeviationSample]) -> str:
-    return csv_text(CSV_HEADER, (
-        (trial, s.epsilon, s.re, s.im, s.iterations,
-         "true" if s.accepted else "false", s.label)
-        for trial, s in enumerate(samples)
+    """One row per sample, read off the columns (:class:`Samples`)."""
+    s = as_samples(samples)
+    accepted = ["true" if a else "false" for a in s.accepted.tolist()]
+    return csv_text(CSV_HEADER, zip(
+        range(len(s)), s.epsilon.tolist(), s.re, s.im, s.iterations.tolist(),
+        accepted, s.label.tolist(),
     ))
 
 
@@ -82,27 +93,18 @@ def write_samples_csv(samples: Sequence[DeviationSample], destination) -> int:
     return len(data)
 
 
-def read_samples_csv(source) -> list[DeviationSample]:
+def read_samples_csv(source) -> Samples:
     """Inverse of :func:`write_samples_csv` (trial order preserved)."""
     text = Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
     if tuple(header) != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header}")
-    out = []
-    for row in reader:
-        _, eps, re_, im, iters, accepted, label = row
-        out.append(
-            DeviationSample(
-                re=int(re_),
-                im=int(im),
-                iterations=int(iters),
-                accepted=accepted == "true",
-                epsilon=float(eps),
-                label=label,
-            )
-        )
-    return out
+    return Samples.from_rows(
+        DeviationSample(int(re_), int(im), int(iters), accepted == "true",
+                        float(eps), label)
+        for _, eps, re_, im, iters, accepted, label in reader
+    )
 
 
 def render_scatter(
@@ -114,6 +116,9 @@ def render_scatter(
 
     Both axes span [0, 2**(N+1) - 2]; the identity diagonal is drawn as a
     reference line.  Output is deterministic for a given sample list.
+    A point's coordinates are the Python floats ``x0 + im * sx`` and
+    ``y0 + re * sy``: im = 2 * ref converts to ``2.0 * float(ref)``
+    exactly, so they are computed as float64 arrays.
     """
     cw, ch = canvas
     if cw < 64 or ch < 64:
@@ -125,10 +130,10 @@ def render_scatter(
     sx = (x1 - x0) / scale
     sy = (y1 - y0) / scale
 
-    def px(im: int) -> float:
+    def px(im):
         return x0 + im * sx
 
-    def py(re: int) -> float:
+    def py(re):
         return y0 + re * sy
 
     lines = [
@@ -144,11 +149,11 @@ def render_scatter(
         f'<text x="10" y="{(y0 + y1) / 2:.2f}" font-size="11" text-anchor="middle" '
         f'fill="black" transform="rotate(-90 10 {(y0 + y1) / 2:.2f})">re (modulated)</text>',
     ]
-    for s in samples:
-        if s.accepted:
-            lines.append(
-                f'<circle cx="{px(s.im):.2f}" cy="{py(s.re):.2f}" r="1.2" fill="black"/>'
-            )
+    s = as_samples(samples)
+    xs = px(2.0 * s.ref[s.accepted].astype(np.float64))
+    ys = py(2.0 * s.out[s.accepted].astype(np.float64))
+    lines += (f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="black"/>'
+              for x, y in zip(xs.tolist(), ys.tolist()))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -159,17 +164,18 @@ def histogram_counts(
     """2-D histogram of accepted (im, re) points on a bins x bins grid.
 
     Row index runs over re, column index over im, both ascending; the sum
-    of counts equals the number of accepted samples.
+    of counts equals the number of accepted samples.  A point's cell is
+    ``re * bins // limit`` in Python ints: re * bins passes 2**64 at
+    width 64.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     limit = full_scale(width) + 1
+    s = as_samples(samples)
+    r, c = ([2 * bins * v // limit for v in col[s.accepted].tolist()]
+            for col in (s.out, s.ref))
     counts = np.zeros((bins, bins), dtype=np.int64)
-    for s in samples:
-        if s.accepted:
-            r = s.re * bins // limit
-            c = s.im * bins // limit
-            counts[r, c] += 1
+    np.add.at(counts, (r, c), 1)
     return counts
 
 

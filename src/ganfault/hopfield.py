@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .circuit import BitVector
-from .sampler import DeviationSample
+from .sampler import DeviationSample, as_samples
 
 #: Widest ensemble whose per-manifold completeness rows spectrum.json holds.
 MAX_COMPLETENESS_WIDTH = 16
@@ -49,8 +49,15 @@ def agreement_from_deviation(re: int, im: int, width: int) -> BitVector:
 def ensemble_from_samples(
     samples: Iterable[DeviationSample], width: int
 ) -> list[BitVector]:
-    """Agreement vectors of the accepted samples, in sample order."""
-    return [agreement_from_deviation(s.re, s.im, width) for s in samples if s.accepted]
+    """Agreement vectors of the accepted samples, in sample order.
+
+    Each word is :func:`agreement_from_deviation`'s, ``~(out ^ ref) & mask``
+    on the columns (:class:`~ganfault.sampler.Samples`).
+    """
+    s = as_samples(samples)
+    mask = np.uint64((1 << width) - 1)
+    words = ~(s.out[s.accepted] ^ s.ref[s.accepted]) & mask
+    return [BitVector(width, w) for w in words.tolist()]
 
 
 def _check_ensemble(ensemble: Sequence[BitVector]) -> int:

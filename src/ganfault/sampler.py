@@ -34,9 +34,11 @@ a hit at distance d settles every open radius >= d, and the end of the
 budget censors the rest.  A group whose only open radius is 0 keeps the
 exact-match accept test, so the bulk draws at radius 0 pay nothing for the
 others.  :func:`run_experiment` and :func:`run_trial` are the one-radius
-case.  A settled trial is written into its pass's columns (:data:`_COLUMNS`),
-one row per radius; samples are built in one place (:func:`_samples`), a
-radius row at a time, labelled with the level's own epsilon.
+case.  A settled trial is written into the run's columns (:data:`_COLUMNS`),
+one row per radius, and each level's result is its radius's row as a
+:class:`Samples`, with its own epsilon and label: the columns are never
+turned into per-trial objects, and levels that share a radius share them.
+A :class:`DeviationSample` is built only when a caller reads a row.
 
 Most trials of a high-epsilon run accept their first candidate, so a pass
 first settles those without a generator (:func:`_first_hits`).  numpy's
@@ -87,8 +89,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -133,11 +136,12 @@ _FIRST_FLIP_WORDS = 32
 # at 64 KiB, which the allocator reuses; at 2**15 words each was mapped and
 # faulted in afresh (about 6000 page faults per ``andnot16-cli`` rep).
 _FIRST_GROUP_WORDS = 1 << 13
-# Where a pass settles its trials: one row per accept radius, one column per
-# trial.  The output and reference are shifted down but not yet doubled
-# into re and im, which reaches 2**65 - 2 at width 64.
-_COLUMNS = np.dtype([("out", np.uint64), ("ref", np.uint64),
-                     ("iterations", np.int64), ("accepted", np.bool_)])
+# Where a run settles its trials (:func:`_columns`): one array per column,
+# one row per accept radius and one column per trial.  The output and
+# reference are shifted down but not doubled into re and im, which reach
+# 2**65 - 2 at width 64.  A level's :class:`Samples` is its radius's row.
+_COLUMNS = (("out", np.uint64), ("ref", np.uint64),
+            ("iterations", np.int64), ("accepted", np.bool_))
 
 
 class ComparisonMode(enum.Enum):
@@ -172,9 +176,12 @@ def max_acceptable_distance(width: int, epsilon: float) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class DeviationSample:
-    """One trial outcome: a point of the complex deviation distribution."""
+class DeviationSample(NamedTuple):
+    """One trial outcome: a point of the complex deviation distribution.
+
+    The row view of :class:`Samples`; ``re`` and ``im`` are twice the
+    modulated and reference outputs.
+    """
 
     re: int
     im: int
@@ -184,12 +191,76 @@ class DeviationSample:
     label: str
 
 
-def _samples(row: np.ndarray, epsilon: float, label: str) -> list[DeviationSample]:
-    """The samples of one radius row of :data:`_COLUMNS`, at one level."""
-    return [
-        DeviationSample(x << 1, y << 1, i, a, epsilon, label)
-        for x, y, i, a in zip(*(row[name].tolist() for name in _COLUMNS.names))
-    ]
+class Samples(Sequence):
+    """The samples of one level, as columns; its rows read as :class:`DeviationSample`.
+
+    ``out`` and ``ref`` are the modulated and reference outputs (``uint64``),
+    ``iterations`` (``int64``) and ``accepted`` (``bool``) each trial's
+    outcome, ``epsilon`` (``float64``) and ``label`` (``object``) its level.
+    re and im are twice ``out`` and ``ref`` and reach 2**65 - 2 at width
+    64, so no column holds them: :attr:`re` and :attr:`im` are lists of
+    Python ints.  An int index gives a row; a slice, index array or mask
+    gives the selected samples.  Samples equal any sequence of the same rows.
+    """
+
+    __slots__ = ("out", "ref", "iterations", "accepted", "epsilon", "label")
+    __hash__ = None
+
+    def __init__(self, out, ref, iterations, accepted, epsilon, label) -> None:
+        self.out, self.ref = out, ref
+        self.iterations, self.accepted = iterations, accepted
+        self.epsilon, self.label = epsilon, label
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[DeviationSample]) -> "Samples":
+        """The samples of ``rows``, whose re and im must be even."""
+        re, im, iterations, accepted, epsilon, label = tuple(zip(*rows)) or ((),) * 6
+        if any(v & 1 for v in re + im):
+            raise ValueError("a deviation point has even re and im")
+        return cls(
+            np.array([v >> 1 for v in re], dtype=np.uint64),
+            np.array([v >> 1 for v in im], dtype=np.uint64),
+            np.array(iterations, dtype=np.int64),
+            np.array(accepted, dtype=np.bool_),
+            np.array(epsilon, dtype=np.float64),
+            np.array(label, dtype=object),
+        )
+
+    @property
+    def re(self) -> list[int]:
+        return [v << 1 for v in self.out.tolist()]
+
+    @property
+    def im(self) -> list[int]:
+        return [v << 1 for v in self.ref.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.out)
+
+    def __iter__(self):
+        return map(DeviationSample._make, zip(
+            self.re, self.im, self.iterations.tolist(), self.accepted.tolist(),
+            self.epsilon.tolist(), self.label.tolist(),
+        ))
+
+    def __getitem__(self, index):
+        if isinstance(index, (slice, np.ndarray)):
+            return Samples(*(getattr(self, name)[index] for name in self.__slots__))
+        i = range(len(self))[index]
+        return next(iter(self[i : i + 1]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return f"<Samples: {len(self)} rows, {int(self.accepted.sum())} accepted>"
+
+
+def as_samples(samples: Iterable[DeviationSample]) -> Samples:
+    """``samples`` as :class:`Samples`; a sequence of rows is converted once."""
+    return samples if isinstance(samples, Samples) else Samples.from_rows(samples)
 
 
 @dataclass
@@ -496,10 +567,25 @@ def _take(arrays: tuple, index) -> tuple:
     return tuple(None if a is None else a[index] for a in arrays)
 
 
-def _settle(cols: np.ndarray, at: tuple, out, ref, iterations, accepted) -> None:
-    """Write settled trials into ``cols`` (:data:`_COLUMNS`) at (radii, trials) ``at``."""
-    for name, value in zip(_COLUMNS.names, (out, ref, iterations, accepted)):
+def _columns(radii: int, trials: int) -> dict[str, np.ndarray]:
+    """Zeroed :data:`_COLUMNS` for ``radii`` accept radii and ``trials`` trials."""
+    return {name: np.zeros((radii, trials), dtype) for name, dtype in _COLUMNS}
+
+
+def _settle(cols: dict, at: tuple, out, ref, iterations, accepted) -> None:
+    """Write settled trials into ``cols`` (:func:`_columns`) at (radii, trials) ``at``."""
+    for (name, _), value in zip(_COLUMNS, (out, ref, iterations, accepted)):
         cols[name][at] = value
+
+
+def _level(cols: dict, row: int, epsilon: float, label: str) -> Samples:
+    """The samples of one level: radius row ``row`` of ``cols``, with its epsilon and label."""
+    trials = cols["out"].shape[1]
+    return Samples(
+        *(cols[name][row] for name, _ in _COLUMNS),
+        np.full(trials, epsilon, dtype=np.float64),
+        np.full(trials, label, dtype=object),
+    )
 
 
 def _draw(
@@ -562,11 +648,11 @@ def _run_trials(
     ideal: Circuit,
     rngs: dict[int, np.random.Generator],
     radii: Sequence[int],
-    cols: np.ndarray,
+    cols: dict,
 ) -> None:
     """Settle each trial at each accept radius, one trial per fresh generator.
 
-    ``rngs`` maps column t of ``cols`` (:data:`_COLUMNS`) to its trial's
+    ``rngs`` maps column t of ``cols`` (:func:`_columns`) to its trial's
     generator, columns in ascending order; ``radii`` are sorted and
     distinct, and the trial's sample at radius ``radii[j]`` is written to
     ``cols[j, t]``.  The trials walk the chunks together.  In each chunk
@@ -684,22 +770,37 @@ def _run_trials(
 def _first_layout(width: int, n: int, flips: int, target: bool):
     """The stream words a trial's first candidate reads, and their layout.
 
-    These are the first chunk's target and input words (:func:`_layout`)
-    and, for each flip fault, the first candidate's ``width`` uniforms.
-    Returns their stream indices and one call over the words at those
-    indices: the chunk's target and input segments as they are, then one
-    flip segment of every fault for candidate 0 alone.  At most
+    These are the words that hold the first chunk's target and candidate 0's
+    input (:func:`_layout`) and, for each flip fault, candidate 0's
+    ``width`` uniforms.  An input of w <= 32 bits is a 32-bit half, and the
+    target's and candidate 0's share word 0; one of 33..63 bits is a word,
+    after the target's; at 64 bits candidate 0 is halves 0 and n of its
+    segment, in its words 0 and n // 2, after the target's word.  Returns
+    their stream indices, their positions in one call, and that call: the
+    chunk's target and input segments as they are, whose other words stay
+    zero and decode to candidates that are not evaluated, then one flip
+    segment of every fault for candidate 0 alone.  At most
     ``_FIRST_FLIP_WORDS`` uniforms per candidate keep the chunk one call
     with one flip segment, which starts at candidate 0.
     """
     ((_, segments),), _, _ = _layout(width, n, flips, target, False)
     heads = tuple(s for s in segments if not isinstance(s[0], slice))
-    index = list(range(heads[-1][4]))
+    start = int(target)  # the input segment's first word
+    if width <= 32:
+        index = [0]
+    elif width < 64:
+        index = list(range(start + 1))
+    else:
+        index = sorted({0, start, start + n // 2})
+    size = heads[-1][4]
+    total = size + flips * width
+    pos = np.array(index + list(range(size, total)))
+    pos.flags.writeable = False  # cached: every caller gets this array
     for _, _, stop, lo, _ in segments[len(heads):]:
-        for at in range(lo, lo + flips * stop * width, stop * width):
-            index += range(at, at + width)
-    flip = ((slice(0, flips), 0, 1, heads[-1][4], len(index)),) if flips else ()
-    return tuple(index), ((len(index), heads + flip),)
+        for word in range(lo, lo + flips * stop * width, stop * width):
+            index += range(word, word + width)
+    flip = ((slice(0, flips), 0, 1, size, total),) if flips else ()
+    return tuple(index), pos, ((total, heads + flip),)
 
 
 def _first_hits(
@@ -708,12 +809,12 @@ def _first_hits(
     ideal: Circuit,
     seeds: np.ndarray,
     radius: int,
-    cols: np.ndarray,
+    cols: dict,
 ) -> np.ndarray:
     """Settle the trials whose first candidate lies within ``radius`` of its reference.
 
     Row r of ``seeds`` holds the seed words (:func:`_seed_words`) of the
-    trial in column r of ``cols`` (:data:`_COLUMNS`).  The words the first
+    trial in column r of ``cols`` (:func:`_columns`).  The words the first
     candidate reads (:func:`_first_layout`) are computed from them
     (:func:`_stream_words`), a group of trials at a time, and decoded,
     flipped and evaluated as the chunk loop would, left-aligned in their
@@ -728,12 +829,14 @@ def _first_hits(
     if len(limits) * width > _FIRST_FLIP_WORDS:
         return np.zeros(len(seeds), dtype=bool)
     n = min(_CHUNK_FIRST, cfg.max_iterations)
-    index, calls = _first_layout(width, n, len(limits), search)
+    index, pos, calls = _first_layout(width, n, len(limits), search)
     shift = _lane(width) - width
     rows = _FIRST_GROUP_WORDS // len(index)
     hits = []
     for g in range(0, len(seeds), rows):
-        raw = _stream_words(seeds[g : g + rows], index)
+        group = seeds[g : g + rows]
+        raw = np.zeros((len(group), calls[0][0]), dtype=np.uint64)
+        raw[:, pos] = _stream_words(group, index)
         target, _, gs, flipped = _decode((raw,), calls, width, n, limits, None, None)
         re = faulty.evaluate_batch(flipped[:, 0], shift)
         im = target if search else ideal.evaluate_batch(gs[:, 0], shift)
@@ -766,30 +869,29 @@ def run_trial(
     the nearest output (:meth:`Circuit.nearest`) as ``re`` and the full
     iteration count.
     """
-    cols = np.zeros((1, 1), dtype=_COLUMNS)
+    cols = _columns(1, 1)
     radius = max_acceptable_distance(cfg.width, cfg.epsilon)
     _run_trials(cfg, faulty, ideal, {0: rng}, [radius], cols)
-    return _samples(cols[0], cfg.epsilon, cfg.resolved_label())[0]
+    return _level(cols, 0, cfg.epsilon, cfg.resolved_label())[0]
 
 
-def run_levels(
-    cfg: ExperimentConfig, epsilons: Sequence[float]
-) -> list[list[DeviationSample]]:
-    """The samples of every uncertainty level, one list per entry of ``epsilons``.
+def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples]:
+    """The samples of every uncertainty level, one :class:`Samples` per entry of ``epsilons``.
 
-    List i equals ``run_experiment(replace(cfg, epsilon=epsilons[i]))``;
+    Entry i equals ``run_experiment(replace(cfg, epsilon=epsilons[i]))``;
     ``cfg.epsilon`` itself is not used.  Every level is validated before
-    the first draw.  Trials go in passes of one aligned seed block
-    (:data:`_SEED_BLOCK`), each settling its trials into one row of
-    columns (:data:`_COLUMNS`) per distinct accept radius.  A pass first
-    settles, from the block's seed words, every trial whose first candidate
-    lies within the smallest radius, at every radius (:func:`_first_hits`).
-    It then builds a generator for each trial left open and walks its
-    stream once, from its first word, in the chunk loop of
-    :func:`_run_trials`, for every radius at once.  Each level then gets
-    the samples of its radius's row (:func:`_samples`).  Raw words are
-    drawn and dropped a group at a time, so a pass keeps only its columns
-    and each open trial's generator, target, buffered half and open radii.
+    the first draw.  Trials settle into the run's columns
+    (:func:`_columns`), one row per distinct accept radius, in passes of
+    one aligned seed block (:data:`_SEED_BLOCK`).  A pass first settles,
+    from the block's seed words, every trial whose first candidate lies
+    within the smallest radius, at every radius (:func:`_first_hits`).  It
+    then builds a generator for each trial left open and walks its stream
+    once, from its first word, in the chunk loop of :func:`_run_trials`,
+    for every radius at once.  Raw words are drawn and dropped a group at a
+    time, so a pass keeps only each open trial's generator, target,
+    buffered half and open radii.  Each level is its radius's row of the
+    columns with its own epsilon and label (:func:`_level`); levels that
+    share a radius share that row's arrays.
     """
     for eps in epsilons:
         replace(cfg, epsilon=eps).validate()
@@ -797,20 +899,18 @@ def run_levels(
     radii = sorted(set(ks))
     ideal = cfg.circuit
     faulty = inject_all(cfg.circuit, cfg.faults)
-    label = cfg.resolved_label()
-    levels: list[list[DeviationSample]] = [[] for _ in epsilons]
+    cols = _columns(len(radii), cfg.trials)
     for start in range(0, cfg.trials if radii else 0, _SEED_BLOCK):
         seeds = _seed_words(cfg.seed, start // _SEED_BLOCK)[: cfg.trials - start]
-        cols = np.zeros((len(radii), len(seeds)), dtype=_COLUMNS)
-        hit = _first_hits(cfg, faulty, ideal, seeds, radii[0], cols)
+        block = {name: c[:, start : start + len(seeds)] for name, c in cols.items()}
+        hit = _first_hits(cfg, faulty, ideal, seeds, radii[0], block)
         rngs = {r: trial_rng(cfg.seed, start + r) for r in np.flatnonzero(~hit).tolist()}
-        _run_trials(cfg, faulty, ideal, rngs, radii, cols)
-        for level, eps, k in zip(levels, epsilons, ks):
-            level += _samples(cols[radii.index(k)], eps, label)
-    return levels
+        _run_trials(cfg, faulty, ideal, rngs, radii, block)
+    label = cfg.resolved_label()
+    return [_level(cols, radii.index(k), eps, label) for eps, k in zip(epsilons, ks)]
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[DeviationSample]:
+def run_experiment(cfg: ExperimentConfig) -> Samples:
     """Run ``cfg.trials`` trials in index order and return their samples.
 
     Every trial runs on its own substream (:func:`trial_rng`), so the result

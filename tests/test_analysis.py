@@ -42,7 +42,7 @@ def test_fit_linear_diagonal():
 
 
 def test_fit_linear_exact_affine():
-    pts = [(x, 2 * x + 6) for x in (0, 5, 11, 14)]
+    pts = [(x, 2 * x + 6) for x in (0, 4, 10, 14)]
     fit = fit_linear(_samples(pts), width=4)
     assert math.isclose(fit.slope, 2.0, abs_tol=1e-12)
     assert math.isclose(fit.intercept, 6.0, abs_tol=1e-12)
@@ -74,9 +74,9 @@ def test_fit_linear_outlier_matches_hand_ols():
 
 def test_fit_linear_degenerate():
     with pytest.raises(ValueError, match="degenerate abscissa"):
-        fit_linear(_samples([(5, 1), (5, 2), (5, 3)]), width=4)
+        fit_linear(_samples([(6, 2), (6, 4), (6, 6)]), width=4)
     with pytest.raises(ValueError, match="degenerate abscissa"):
-        fit_linear(_samples([(5, 1)]), width=4)
+        fit_linear(_samples([(6, 2)]), width=4)
 
 
 def _synthetic_sweep(rhos, grid, accepted=1000):

@@ -17,6 +17,7 @@ from ganfault.cli import (
     main,
 )
 from ganfault.netlist import serialize_netlist
+from ganfault.sampler import DeviationSample, ExperimentConfig, run_experiment
 
 from conftest import src_env
 
@@ -221,6 +222,32 @@ def test_spectrum_empty_result_exits_3(not8_ckt, tmp_path, capsys):
     ])
     assert code == 3
     assert "no accepted samples" in capsys.readouterr().err
+
+
+def test_cli_runs_build_no_deviation_sample(not8_ckt, tmp_path, monkeypatch):
+    # Every artifact is read off the sampler's columns: a row is built only
+    # when a caller reads one.
+    built = []
+    make, new = DeviationSample._make, DeviationSample.__new__
+    monkeypatch.setattr(DeviationSample, "_make",
+                        classmethod(lambda cls, fields: built.append(1) or make(fields)))
+    monkeypatch.setattr(DeviationSample, "__new__",
+                        lambda cls, *fields: built.append(1) or new(cls, *fields))
+    common = ["--ckt", str(not8_ckt), "--trials", "300", "--seed", "3",
+              "--max-iterations", "50"]
+    for argv in (
+        ["simulate", "--fault", "missing:L1.S1,flip:0.1", "--eps", "0.25"],
+        ["sweep", "--fault", "swap:L1.S1:buffer", "--mode", "target-search"],
+        ["spectrum", "--fault", "flip:0.2", "--eps", "0.5"],
+        ["dataset", "--eps", "0.25", "--run", "a=", "--run", "b=reverse:L1.S1"],
+    ):
+        assert main(argv + common + ["--out", str(tmp_path / argv[0])]) == 0, argv
+    assert built == []
+    cfg = ExperimentConfig(circuit=Circuit(8, [unary_layer(GateKind.NOT, 8)]),
+                           epsilon=0.25, trials=5, seed=3)
+    assert len(list(run_experiment(cfg))) == 5
+    DeviationSample(0, 0, 1, True, 0.0, "x")
+    assert len(built) == 6  # the patches see rows built either way
 
 
 def test_dataset_labels_and_reruns(not8_ckt, tmp_path):

@@ -1,7 +1,10 @@
 import json
 import math
+import random
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from ganfault.circuit import Circuit, GateKind, identity_circuit, unary_layer
@@ -16,7 +19,7 @@ from ganfault.emit import (
     write_samples_csv,
 )
 from ganfault.faults import InputPerturbation, Missing
-from ganfault.sampler import DeviationSample, ExperimentConfig, run_experiment
+from ganfault.sampler import DeviationSample, ExperimentConfig, Samples, run_experiment
 
 
 def _sample(re=10, im=24, it=3, accepted=True, eps=0.1, label="swap"):
@@ -99,6 +102,61 @@ def test_histogram_bin_range():
     top = (1 << 5) - 2  # full scale at width 4
     counts = histogram_counts([_sample(re=top, im=0)], width=4, bins=8)
     assert counts[7, 0] == 1
+
+
+def _edge_outputs(width: int, bins: int) -> list[int]:
+    """Outputs at the top of the width, at histogram cell edges and at float ties."""
+    top, limit = (1 << width) - 1, (1 << (width + 1)) - 1
+    values = {0, 1, top, top - 1, top - 2, 1 << (width - 1), (1 << (width - 1)) - 1}
+    for k in (1, bins // 2, bins - 1):
+        first = -(-k * limit // (2 * bins))  # the smallest output in cell k
+        values |= {first, first - 1}
+    if width >= 54:
+        # 2 * v has 54 significant bits, the last one set: it lies halfway
+        # between two doubles, and converting it ties to even.
+        values |= {m << (width - 54) for m in ((1 << 53) + 1, (1 << 53) + 3, (1 << 54) - 1)}
+    rng = random.Random(width)
+    values |= {rng.randrange(1 << width) for _ in range(40)}
+    return sorted(values)
+
+
+@pytest.mark.parametrize("width", [16, 33, 52, 53, 64])
+def test_columns_give_todays_cells_coordinates_and_csv_at_every_width(width):
+    # re = 2 * out reaches 2**65 - 2 at width 64, past uint64 and past the
+    # 53 bits a double holds exactly.  Each artifact must equal the row
+    # formula on Python ints, written out here.  On a canvas of 2**50 a
+    # coordinate's ulp is at most 0.25, so "%.2f" shows every bit of it.
+    bins = 64
+    outs = _edge_outputs(width, bins)
+    refs = outs[::-1]
+    n = len(outs)
+    accepted = [i % 5 != 3 for i in range(n)]
+    samples = Samples(
+        np.array(outs, dtype=np.uint64), np.array(refs, dtype=np.uint64),
+        np.arange(1, n + 1, dtype=np.int64), np.array(accepted),
+        np.full(n, 0.5), np.full(n, "edge", dtype=object),
+    )
+    points = [(2 * o, 2 * r) for o, r, a in zip(outs, refs, accepted) if a]
+
+    limit = (1 << (width + 1)) - 1
+    counts = histogram_counts(samples, width, bins)
+    cells = Counter((re_ * bins // limit, im * bins // limit) for re_, im in points)
+    assert {cell: int(c) for cell, c in np.ndenumerate(counts) if c} == dict(cells)
+
+    scale = (1 << (width + 1)) - 2
+    for size in (480, 2**50):
+        x0, y0, x1, y1 = 36, size - 36, size - 12, 12
+        sx, sy = (x1 - x0) / scale, (y1 - y0) / scale
+        doc = render_scatter(samples, width, canvas=(size, size))
+        got = re.findall(r'<circle cx="([-0-9.]+)" cy="([-0-9.]+)"', doc)
+        assert got == [(f"{x0 + im * sx:.2f}", f"{y0 + re_ * sy:.2f}")
+                       for re_, im in points], size
+
+    lines = samples_to_csv(samples).splitlines()[1:]
+    assert lines == [
+        f"{t},0.5,{2 * o},{2 * r},{t + 1},{'true' if a else 'false'},edge"
+        for t, (o, r, a) in enumerate(zip(outs, refs, accepted))
+    ]
 
 
 def test_pgm_format():

@@ -381,7 +381,40 @@ def test_run_levels_gives_each_level_its_own_experiment():
         for eps, samples in zip(levels, got):
             assert {s.epsilon for s in samples} == {eps}
             assert samples == run_experiment(replace(cfg, epsilon=eps)), (mode, eps)
+        # Levels of one radius share its columns; each has its own epsilon.
+        radii = [max_acceptable_distance(16, eps) for eps in levels]
+        for (i, a), (j, b) in itertools.combinations(enumerate(got), 2):
+            for name in ("out", "ref", "iterations", "accepted"):
+                shared = np.shares_memory(getattr(a, name), getattr(b, name))
+                assert shared == (radii[i] == radii[j]), (levels[i], levels[j], name)
+            assert not np.shares_memory(a.epsilon, b.epsilon)
     assert sampler.run_levels(cfg, ()) == []
+
+
+def test_samples_are_columns_whose_rows_are_deviation_samples():
+    rows = [
+        DeviationSample(10, 24, 3, True, 0.1, "swap"),
+        DeviationSample(0, 30, 1000, False, 0.25, "missing:L1.S1,flip:0.5"),
+        DeviationSample(2 * (2**64 - 1), 2**65 - 4, 7, True, 0.25, "x"),
+    ]
+    samples = sampler.Samples.from_rows(rows)
+    assert samples.out.dtype == samples.ref.dtype == np.uint64
+    assert samples.out.tolist() == [5, 0, 2**64 - 1]
+    assert samples.re == [10, 0, 2**65 - 2] and samples.im == [24, 30, 2**65 - 4]
+    assert len(samples) == 3 and list(samples) == rows and samples == rows
+    assert samples[0] == rows[0] and samples[-1] == rows[-1]
+    assert type(samples[np.int64(1)]) is DeviationSample
+    assert [type(v) for v in samples[2]] == [int, int, int, bool, float, str]
+    with pytest.raises(IndexError):
+        samples[3]
+    assert isinstance(samples[1:], sampler.Samples) and samples[1:] == rows[1:]
+    assert samples[samples.accepted] == [rows[0], rows[2]]
+    assert samples[np.array([2, 0])] == [rows[2], rows[0]]
+    assert samples != rows[:2] and samples != "abc"
+    assert sampler.Samples.from_rows([]) == []
+    assert sampler.as_samples(samples) is samples
+    with pytest.raises(ValueError, match="even"):
+        sampler.Samples.from_rows([DeviationSample(3, 2, 1, True, 0.0, "x")])
 
 
 def test_passes_and_seed_blocks_do_not_change_samples(monkeypatch):
