@@ -34,7 +34,7 @@ a hit at distance d settles every open radius >= d, and the end of the
 budget censors the rest.  A group whose only open radius is 0 keeps the
 exact-match accept test, so the bulk draws at radius 0 pay nothing for the
 others.  :func:`run_experiment` and :func:`run_trial` are the one-radius
-case.  A settled trial is written into the run's columns (:data:`_COLUMNS`),
+case.  A settled trial is written into the run's columns (:func:`_columns`),
 one row per radius, and each level's result is its radius's row as a
 :class:`Samples`, with its own epsilon and label: the columns are never
 turned into per-trial objects, and levels that share a radius share them.
