@@ -18,10 +18,8 @@ from typing import Callable, Sequence
 
 from .circuit import GateKind, eval_gate
 from .sampler import (
-    DeviationSample,
     ExperimentConfig,
     Samples,
-    as_samples,
     max_acceptable_distance,
     run_experiment,  # unused here; perfbench's tracer patches this name
     run_levels,
@@ -68,17 +66,16 @@ def _least_squares(
     return slope, intercept, r_squared, ss_res
 
 
-def fit_linear(samples: Sequence[DeviationSample], width: int) -> LinearFit:
+def fit_linear(samples: Samples, width: int) -> LinearFit:
     """Least-squares line re = slope * im + intercept over the samples.
 
     re and im are Python ints, so the sums are exact.
     """
-    s = as_samples(samples)
-    n = len(s)
+    n = len(samples)
     if n < 2:
         raise ValueError("degenerate abscissa: need at least two samples")
     slope, intercept, r_squared, ss_res = _least_squares(
-        s.im, s.re, "degenerate abscissa: all im values equal"
+        samples.im, samples.re, "degenerate abscissa: all im values equal"
     )
     rho = math.sqrt(ss_res / n) / full_scale(width)
     return LinearFit(slope, intercept, r_squared, rho)
@@ -119,10 +116,7 @@ def _check_grid(epsilons: Sequence[float]) -> None:
         raise ValueError("epsilon grid must be strictly increasing")
 
 
-def summarize_point(
-    epsilon: float, samples: Sequence[DeviationSample], width: int
-) -> SweepPoint:
-    samples = as_samples(samples)
+def summarize_point(epsilon: float, samples: Samples, width: int) -> SweepPoint:
     accepted = samples[samples.accepted]
     fit = None
     if len(accepted) >= 2:

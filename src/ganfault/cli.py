@@ -15,17 +15,17 @@ only prints.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
 1 internal error.  Unknown ``--config`` keys, ``--config`` values of
 another type than their flag produces, ``--workers`` below 1,
-``--min-samples`` below 0, ``--bins`` / ``--canvas`` outside their
-stated ranges and a non-empty ``fault`` for ``dataset`` (whose faults come
-from ``--run``) are configuration errors.  Every configuration error is
-caught before ``--out`` is created: each experiment (every grid level of
-a sweep, every ``--run`` of a dataset) passes
-:meth:`ExperimentConfig.validate`, the one check of epsilon, trials,
-iterations and seed, and has its faults injected once.  ``--workers`` is
-accepted so that older run.json files replay; it has no effect.  Older
-run.json files may also hold ``"memoize"``, the key of a removed
-input-replay option: ``false`` is accepted and dropped, ``true`` is a
-configuration error.
+``--min-samples`` below 0, ``--trials`` above ``MAX_TRIALS``, ``--bins``
+/ ``--canvas`` outside their stated ranges and a non-empty ``fault`` for
+``dataset`` (whose faults come from ``--run``) are configuration errors.
+Every configuration error is caught before ``--out`` is created: each
+experiment (every grid level of a sweep, every ``--run`` of a dataset)
+passes :meth:`ExperimentConfig.validate`, the one check of epsilon,
+trials, iterations and seed, and has its faults injected once.
+``--workers`` is accepted so that older run.json files replay; it has no
+effect.  Older run.json files may also hold ``"memoize"``, the key of a
+removed input-replay option: ``false`` is accepted and dropped, ``true``
+is a configuration error.
 """
 
 from __future__ import annotations
@@ -65,7 +65,10 @@ _DEFAULTS = {
 
 MAX_BINS = 1024  # the dataset histogram holds bins**2 int64 counts
 MAX_CANVAS = 8192
-MAX_GRID_LEVELS = 1001  # a sweep holds every level's samples
+# A run holds 25 B per trial per distinct accept radius, of which a sweep at
+# width N has up to N + 1: 25 MB a radius here.
+MAX_TRIALS = 1_000_000
+MAX_GRID_LEVELS = 1001  # a sweep fits and summarizes every level
 
 # JSON yields exact int, float, str, bool and list objects, so exact type
 # tests also keep true/false out of the integer and number keys.
@@ -89,9 +92,10 @@ _CONFIG_TYPES = {
             "a list of LABEL=FAULTSPECS strings"),
 }
 
-#: Inclusive integer ranges checked before any work starts.
+#: Inclusive integer ranges checked before any work starts; None is no
+#: bound.  Trials below 1 are left to :meth:`ExperimentConfig.validate`.
 _RANGES = {
-    "workers": (1, None), "min_samples": (0, None),
+    "workers": (1, None), "min_samples": (0, None), "trials": (None, MAX_TRIALS),
     "bins": (1, MAX_BINS), "canvas": (64, MAX_CANVAS),
 }
 
@@ -105,7 +109,8 @@ def _add_common(
     if needs_ckt:
         p.add_argument("--ckt", help="circuit netlist file (.ckt)")
     p.add_argument("--fault", help=fault_help)
-    p.add_argument("--trials", type=int, help="number of trials per experiment")
+    p.add_argument("--trials", type=int,
+                   help=f"number of trials per experiment, 1..{MAX_TRIALS}")
     p.add_argument("--seed", type=int, help="base RNG seed (required)")
     p.add_argument("--mode", choices=["fault-compare", "target-search"])
     p.add_argument("--max-iterations", type=int, dest="max_iterations")
@@ -192,8 +197,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         resolved[key] = value
     for key, (low, high) in _RANGES.items():
         value = resolved[key]
-        if value < low or (high is not None and value > high):
-            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        if (low is not None and value < low) or (high is not None and value > high):
+            bound = (f"<= {high}" if low is None else f">= {low}" if high is None
+                     else f"in [{low}, {high}]")
             raise ValueError(f"--{key.replace('_', '-')} must be {bound}, got {value}")
     return resolved
 

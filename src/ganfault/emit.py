@@ -7,9 +7,8 @@ transition.json, spectrum.json, table1.json and the dataset manifest
 (sorted keys, 2-space indent, final newline), each document built from
 its result dataclass with ``asdict``.  SVG scatter documents and
 plain-text PGM rasters are the visual artifacts.  The sample table, the
-scatter and the histogram read the sampler's columns
-(:class:`~ganfault.sampler.Samples`); a sequence of rows is turned into
-columns once.
+scatter and the histogram read the columns of one level's
+:class:`~ganfault.sampler.Samples`.
 
 Everything here is a pure function of its inputs: the same results give
 byte-identical files, which is what makes double-run comparisons a
@@ -23,6 +22,7 @@ import io
 import json
 import re
 from dataclasses import asdict, astuple, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -33,7 +33,6 @@ from .sampler import (
     DeviationSample,
     ExperimentConfig,
     Samples,
-    as_samples,
     run_experiment,
 )
 
@@ -64,13 +63,12 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
-def samples_to_csv(samples: Sequence[DeviationSample]) -> str:
-    """One row per sample, read off the columns (:class:`Samples`)."""
-    s = as_samples(samples)
-    accepted = ["true" if a else "false" for a in s.accepted.tolist()]
+def samples_to_csv(samples: Samples) -> str:
+    """One row per sample, read off the columns; every row repeats the level."""
+    accepted = ["true" if a else "false" for a in samples.accepted.tolist()]
     return csv_text(CSV_HEADER, zip(
-        range(len(s)), s.epsilon.tolist(), s.re, s.im, s.iterations.tolist(),
-        accepted, s.label.tolist(),
+        range(len(samples)), repeat(samples.epsilon), samples.re, samples.im,
+        samples.iterations.tolist(), accepted, repeat(samples.label),
     ))
 
 
@@ -86,7 +84,7 @@ def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
     ))
 
 
-def write_samples_csv(samples: Sequence[DeviationSample], destination) -> int:
+def write_samples_csv(samples: Samples, destination) -> int:
     """Write the sample table; returns the byte count written."""
     data = samples_to_csv(samples).encode("utf-8")
     Path(destination).write_bytes(data)
@@ -94,7 +92,10 @@ def write_samples_csv(samples: Sequence[DeviationSample], destination) -> int:
 
 
 def read_samples_csv(source) -> Samples:
-    """Inverse of :func:`write_samples_csv` (trial order preserved)."""
+    """Inverse of :func:`write_samples_csv` (trial order preserved).
+
+    Malformed cells and rows of more than one level raise ``ValueError``.
+    """
     text = Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
     header = next(reader)
@@ -108,7 +109,7 @@ def read_samples_csv(source) -> Samples:
 
 
 def render_scatter(
-    samples: Sequence[DeviationSample],
+    samples: Samples,
     width: int,
     canvas: tuple[int, int] = (480, 480),
 ) -> str:
@@ -149,18 +150,15 @@ def render_scatter(
         f'<text x="10" y="{(y0 + y1) / 2:.2f}" font-size="11" text-anchor="middle" '
         f'fill="black" transform="rotate(-90 10 {(y0 + y1) / 2:.2f})">re (modulated)</text>',
     ]
-    s = as_samples(samples)
-    xs = px(2.0 * s.ref[s.accepted].astype(np.float64))
-    ys = py(2.0 * s.out[s.accepted].astype(np.float64))
+    xs = px(2.0 * samples.ref[samples.accepted].astype(np.float64))
+    ys = py(2.0 * samples.out[samples.accepted].astype(np.float64))
     lines += (f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="black"/>'
               for x, y in zip(xs.tolist(), ys.tolist()))
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def histogram_counts(
-    samples: Sequence[DeviationSample], width: int, bins: int = 64
-) -> np.ndarray:
+def histogram_counts(samples: Samples, width: int, bins: int = 64) -> np.ndarray:
     """2-D histogram of accepted (im, re) points on a bins x bins grid.
 
     Row index runs over re, column index over im, both ascending; the sum
@@ -171,9 +169,8 @@ def histogram_counts(
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     limit = full_scale(width) + 1
-    s = as_samples(samples)
-    r, c = ([2 * bins * v // limit for v in col[s.accepted].tolist()]
-            for col in (s.out, s.ref))
+    r, c = ([2 * bins * v // limit for v in col[samples.accepted].tolist()]
+            for col in (samples.out, samples.ref))
     counts = np.zeros((bins, bins), dtype=np.int64)
     np.add.at(counts, (r, c), 1)
     return counts

@@ -21,12 +21,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .circuit import BitVector
-from .sampler import DeviationSample, as_samples
+from .sampler import Samples
 
 #: Widest ensemble whose per-manifold completeness rows spectrum.json holds.
 MAX_COMPLETENESS_WIDTH = 16
@@ -46,17 +46,14 @@ def agreement_from_deviation(re: int, im: int, width: int) -> BitVector:
     return BitVector(width, ~(re ^ im) >> 1 & ((1 << width) - 1))
 
 
-def ensemble_from_samples(
-    samples: Iterable[DeviationSample], width: int
-) -> list[BitVector]:
+def ensemble_from_samples(samples: Samples, width: int) -> list[BitVector]:
     """Agreement vectors of the accepted samples, in sample order.
 
     Each word is :func:`agreement_from_deviation`'s, ``~(out ^ ref) & mask``
-    on the columns (:class:`~ganfault.sampler.Samples`).
+    on the columns.
     """
-    s = as_samples(samples)
     mask = np.uint64((1 << width) - 1)
-    words = ~(s.out[s.accepted] ^ s.ref[s.accepted]) & mask
+    words = ~(samples.out[samples.accepted] ^ samples.ref[samples.accepted]) & mask
     return [BitVector(width, w) for w in words.tolist()]
 
 

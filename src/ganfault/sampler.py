@@ -36,8 +36,9 @@ exact-match accept test, so the bulk draws at radius 0 pay nothing for the
 others.  :func:`run_experiment` and :func:`run_trial` are the one-radius
 case.  A settled trial is written into the run's columns (:func:`_columns`),
 one row per radius, and each level's result is its radius's row as a
-:class:`Samples`, with its own epsilon and label: the columns are never
-turned into per-trial objects, and levels that share a radius share them.
+:class:`Samples`, which holds the level's epsilon and label once: the
+columns are never turned into per-trial objects, levels that share a radius
+share them, and a level costs the same few objects at any trial count.
 A :class:`DeviationSample` is built only when a caller reads a row.
 
 Most trials of a high-epsilon run accept their first candidate, so a pass
@@ -88,6 +89,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
@@ -196,34 +198,43 @@ class Samples(Sequence):
 
     ``out`` and ``ref`` are the modulated and reference outputs (``uint64``),
     ``iterations`` (``int64``) and ``accepted`` (``bool``) each trial's
-    outcome, ``epsilon`` (``float64``) and ``label`` (``object``) its level.
-    re and im are twice ``out`` and ``ref`` and reach 2**65 - 2 at width
-    64, so no column holds them: :attr:`re` and :attr:`im` are lists of
-    Python ints.  An int index gives a row; a slice, index array or mask
-    gives the selected samples.  Samples equal any sequence of the same rows.
+    outcome; the level's ``epsilon`` (a float) and ``label`` (a str) are
+    held once and repeated in every row.  re and im are twice ``out`` and
+    ``ref`` and reach 2**65 - 2 at width 64, so no column holds them:
+    :attr:`re` and :attr:`im` are lists of Python ints.  An int index gives
+    a row; a slice, index array or mask gives the selected samples.
+    Samples equal any sequence of the same rows.
     """
 
     __slots__ = ("out", "ref", "iterations", "accepted", "epsilon", "label")
     __hash__ = None
 
-    def __init__(self, out, ref, iterations, accepted, epsilon, label) -> None:
+    def __init__(self, out, ref, iterations, accepted, epsilon: float, label: str) -> None:
         self.out, self.ref = out, ref
         self.iterations, self.accepted = iterations, accepted
-        self.epsilon, self.label = epsilon, label
+        self.epsilon, self.label = float(epsilon), label
 
     @classmethod
     def from_rows(cls, rows: Iterable[DeviationSample]) -> "Samples":
-        """The samples of ``rows``, whose re and im must be even."""
+        """The samples of ``rows``, which must share one level.
+
+        Their re and im must be even and in 0..2**65 - 2, their iterations
+        in 0..2**63 - 1.  No rows give an empty level 0.0 labelled "".
+        """
         re, im, iterations, accepted, epsilon, label = tuple(zip(*rows)) or ((),) * 6
-        if any(v & 1 for v in re + im):
-            raise ValueError("a deviation point has even re and im")
+        if any(v & 1 or not 0 <= v < 1 << 65 for v in re + im):
+            raise ValueError("a deviation point has even re and im in 0..2**65 - 2")
+        if any(not 0 <= v < 1 << 63 for v in iterations):
+            raise ValueError("iterations must be in 0..2**63 - 1")
+        levels = set(zip(epsilon, label)) or {(0.0, "")}
+        if len(levels) > 1:
+            raise ValueError(f"samples of one level expected, got {len(levels)} levels")
         return cls(
             np.array([v >> 1 for v in re], dtype=np.uint64),
             np.array([v >> 1 for v in im], dtype=np.uint64),
             np.array(iterations, dtype=np.int64),
             np.array(accepted, dtype=np.bool_),
-            np.array(epsilon, dtype=np.float64),
-            np.array(label, dtype=object),
+            *levels.pop(),
         )
 
     @property
@@ -240,12 +251,13 @@ class Samples(Sequence):
     def __iter__(self):
         return map(DeviationSample._make, zip(
             self.re, self.im, self.iterations.tolist(), self.accepted.tolist(),
-            self.epsilon.tolist(), self.label.tolist(),
+            itertools.repeat(self.epsilon), itertools.repeat(self.label),
         ))
 
     def __getitem__(self, index):
         if isinstance(index, (slice, np.ndarray)):
-            return Samples(*(getattr(self, name)[index] for name in self.__slots__))
+            return Samples(self.out[index], self.ref[index], self.iterations[index],
+                           self.accepted[index], self.epsilon, self.label)
         i = range(len(self))[index]
         return next(iter(self[i : i + 1]))
 
@@ -256,11 +268,6 @@ class Samples(Sequence):
 
     def __repr__(self) -> str:
         return f"<Samples: {len(self)} rows, {int(self.accepted.sum())} accepted>"
-
-
-def as_samples(samples: Iterable[DeviationSample]) -> Samples:
-    """``samples`` as :class:`Samples`; a sequence of rows is converted once."""
-    return samples if isinstance(samples, Samples) else Samples.from_rows(samples)
 
 
 @dataclass
@@ -580,12 +587,7 @@ def _settle(cols: dict, at: tuple, out, ref, iterations, accepted) -> None:
 
 def _level(cols: dict, row: int, epsilon: float, label: str) -> Samples:
     """The samples of one level: radius row ``row`` of ``cols``, with its epsilon and label."""
-    trials = cols["out"].shape[1]
-    return Samples(
-        *(cols[name][row] for name, _ in _COLUMNS),
-        np.full(trials, epsilon, dtype=np.float64),
-        np.full(trials, label, dtype=object),
-    )
+    return Samples(*(cols[name][row] for name, _ in _COLUMNS), epsilon, label)
 
 
 def _draw(
@@ -890,8 +892,9 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
     for every radius at once.  Raw words are drawn and dropped a group at a
     time, so a pass keeps only each open trial's generator, target,
     buffered half and open radii.  Each level is its radius's row of the
-    columns with its own epsilon and label (:func:`_level`); levels that
-    share a radius share that row's arrays.
+    columns with its own epsilon and label, held once (:func:`_level`):
+    levels that share a radius share that row's arrays, so the run holds
+    25 B per trial and distinct radius, however many levels map to them.
     """
     for eps in epsilons:
         replace(cfg, epsilon=eps).validate()

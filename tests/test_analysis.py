@@ -25,14 +25,14 @@ from ganfault.analysis import (
 )
 from ganfault.circuit import GateKind, identity_circuit, unary_layer, Circuit
 from ganfault.faults import InputPerturbation, Missing
-from ganfault.sampler import ComparisonMode, DeviationSample, ExperimentConfig
+from ganfault.sampler import ComparisonMode, DeviationSample, ExperimentConfig, Samples
 
 
 def _samples(points, eps=0.1):
-    return [
+    return Samples.from_rows(
         DeviationSample(re=r, im=i, iterations=1, accepted=True, epsilon=eps, label="x")
         for i, r in points
-    ]
+    )
 
 
 def test_fit_linear_diagonal():

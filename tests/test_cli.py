@@ -12,6 +12,7 @@ from ganfault.cli import (
     MAX_BINS,
     MAX_CANVAS,
     MAX_GRID_LEVELS,
+    MAX_TRIALS,
     _grid,
     build_parser,
     main,
@@ -380,6 +381,26 @@ def test_canvas_above_maximum_exits_2(not8_ckt, tmp_path, capsys):
     ])
     assert code == 2
     assert f"--canvas must be in [64, {MAX_CANVAS}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 10**12])
+def test_trials_above_maximum_exits_2_before_out(
+    command, source, trials, not8_ckt, tmp_path, capsys
+):
+    # A run allocates its columns for every trial before its first draw.
+    out = tmp_path / "o"
+    argv = [command, "--ckt", str(not8_ckt), "--seed", "1", "--out", str(out)]
+    if source == "flag":
+        argv += ["--trials", str(trials)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"trials": trials}))
+        argv += ["--config", str(config)]
+    assert main(argv) == 2
+    assert f"--trials must be <= {MAX_TRIALS}, got {trials}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_config_key_exits_2(not8_ckt, tmp_path, capsys):

@@ -27,16 +27,20 @@ def _sample(re=10, im=24, it=3, accepted=True, eps=0.1, label="swap"):
                            epsilon=eps, label=label)
 
 
+def _level(*rows: DeviationSample) -> Samples:
+    return Samples.from_rows(rows)
+
+
 def test_csv_empty_is_header_only(tmp_path):
     path = tmp_path / "s.csv"
-    n = write_samples_csv([], path)
+    n = write_samples_csv(_level(), path)
     assert path.read_text() == "trial,epsilon,re,im,iterations,accepted,label\n"
     assert n == path.stat().st_size
 
 
 def test_csv_single_sample_exact(tmp_path):
     path = tmp_path / "s.csv"
-    write_samples_csv([_sample()], path)
+    write_samples_csv(_level(_sample()), path)
     assert path.read_text() == (
         "trial,epsilon,re,im,iterations,accepted,label\n"
         "0,0.1,10,24,3,true,swap\n"
@@ -44,19 +48,40 @@ def test_csv_single_sample_exact(tmp_path):
 
 
 def test_csv_deterministic_and_roundtrip(tmp_path):
-    samples = [
-        _sample(),
-        _sample(re=0, im=30, it=1000, accepted=False, eps=0.25, label="missing:L1.S1,flip:0.5"),
+    label = "missing:L1.S1,flip:0.5"
+    rows = [
+        _sample(eps=0.25, label=label),
+        _sample(re=0, im=30, it=1000, accepted=False, eps=0.25, label=label),
     ]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_samples_csv(samples, a)
-    write_samples_csv(samples, b)
+    write_samples_csv(_level(*rows), a)
+    write_samples_csv(_level(*rows), b)
     assert a.read_bytes() == b.read_bytes()
-    assert read_samples_csv(a) == samples
+    assert a.read_text().splitlines()[1:] == [
+        '0,0.25,10,24,3,true,"missing:L1.S1,flip:0.5"',
+        '1,0.25,0,30,1000,false,"missing:L1.S1,flip:0.5"',
+    ]
+    back = read_samples_csv(a)
+    assert back == rows and (back.epsilon, back.label) == (0.25, label)
+
+
+@pytest.mark.parametrize("rows, match", [
+    (["0,0.1,10,24,3,true,swap", "1,0.25,10,24,3,true,swap"], "one level"),
+    (["0,0.1,10,24,3,true,swap", "1,0.1,10,24,3,true,noisy"], "one level"),
+    (["0,0.1,-2,24,3,true,swap"], "even"),
+    (["0,0.1,10,73786976294838206464,3,true,swap"], "even"),  # 2**66
+    (["0,0.1,11,24,3,true,swap"], "even"),
+    (["0,0.1,10,24,18446744073709551616,true,swap"], "iterations"),  # 2**64
+])
+def test_csv_read_rejects_mixed_levels_and_points_out_of_range(tmp_path, rows, match):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join(["trial,epsilon,re,im,iterations,accepted,label", *rows, ""]))
+    with pytest.raises(ValueError, match=match):
+        read_samples_csv(path)
 
 
 def test_scatter_empty_has_axes_and_diagonal():
-    doc = render_scatter([], width=4)
+    doc = render_scatter(_level(), width=4)
     assert doc.startswith("<svg ") and doc.rstrip().endswith("</svg>")
     assert doc.count("<line ") == 3  # two axes plus the reference diagonal
     assert "<circle" not in doc
@@ -64,7 +89,7 @@ def test_scatter_empty_has_axes_and_diagonal():
 
 
 def test_scatter_marks_sit_on_diagonal():
-    samples = [_sample(re=v, im=v) for v in (0, 2, 10, 30)]
+    samples = _level(*(_sample(re=v, im=v) for v in (0, 2, 10, 30)))
     doc = render_scatter(samples, width=4)
     circles = re.findall(r'<circle cx="([0-9.]+)" cy="([0-9.]+)"', doc)
     assert len(circles) == 4
@@ -77,7 +102,7 @@ def test_scatter_marks_sit_on_diagonal():
 
 
 def test_scatter_skips_censored_and_is_deterministic():
-    samples = [_sample(), _sample(accepted=False)]
+    samples = _level(_sample(), _sample(accepted=False))
     a = render_scatter(samples, width=4)
     assert a.count("<circle") == 1
     assert a == render_scatter(samples, width=4)
@@ -85,12 +110,12 @@ def test_scatter_skips_censored_and_is_deterministic():
 
 def test_scatter_rejects_small_canvas():
     with pytest.raises(ValueError):
-        render_scatter([], width=4, canvas=(63, 480))
+        render_scatter(_level(), width=4, canvas=(63, 480))
 
 
 def test_histogram_mass_equals_accepted_count():
-    samples = [_sample(re=2 * i, im=2 * i) for i in range(16)]
-    samples += [_sample(accepted=False)] * 5
+    samples = _level(*(_sample(re=2 * i, im=2 * i) for i in range(16)),
+                     *[_sample(accepted=False)] * 5)
     counts = histogram_counts(samples, width=4, bins=8)
     assert counts.sum() == 16
     # Diagonal samples land on diagonal bins only.
@@ -100,7 +125,7 @@ def test_histogram_mass_equals_accepted_count():
 
 def test_histogram_bin_range():
     top = (1 << 5) - 2  # full scale at width 4
-    counts = histogram_counts([_sample(re=top, im=0)], width=4, bins=8)
+    counts = histogram_counts(_level(_sample(re=top, im=0)), width=4, bins=8)
     assert counts[7, 0] == 1
 
 
@@ -133,8 +158,7 @@ def test_columns_give_todays_cells_coordinates_and_csv_at_every_width(width):
     accepted = [i % 5 != 3 for i in range(n)]
     samples = Samples(
         np.array(outs, dtype=np.uint64), np.array(refs, dtype=np.uint64),
-        np.arange(1, n + 1, dtype=np.int64), np.array(accepted),
-        np.full(n, 0.5), np.full(n, "edge", dtype=object),
+        np.arange(1, n + 1, dtype=np.int64), np.array(accepted), 0.5, "edge",
     )
     points = [(2 * o, 2 * r) for o, r, a in zip(outs, refs, accepted) if a]
 
@@ -160,7 +184,7 @@ def test_columns_give_todays_cells_coordinates_and_csv_at_every_width(width):
 
 
 def test_pgm_format():
-    counts = histogram_counts([_sample(re=0, im=0)], width=4, bins=4)
+    counts = histogram_counts(_level(_sample(re=0, im=0)), width=4, bins=4)
     text = counts_to_pgm(counts)
     lines = text.splitlines()
     assert lines[0] == "P2"
@@ -173,7 +197,7 @@ def test_pgm_format():
 
 
 def test_pgm_all_zero():
-    text = counts_to_pgm(histogram_counts([], width=4, bins=2))
+    text = counts_to_pgm(histogram_counts(_level(), width=4, bins=2))
     assert text == "P2\n2 2\n255\n0 0\n0 0\n"
 
 

@@ -387,18 +387,20 @@ def test_run_levels_gives_each_level_its_own_experiment():
             for name in ("out", "ref", "iterations", "accepted"):
                 shared = np.shares_memory(getattr(a, name), getattr(b, name))
                 assert shared == (radii[i] == radii[j]), (levels[i], levels[j], name)
-            assert not np.shares_memory(a.epsilon, b.epsilon)
+            assert (a.epsilon, b.epsilon) == (levels[i], levels[j])
     assert sampler.run_levels(cfg, ()) == []
 
 
 def test_samples_are_columns_whose_rows_are_deviation_samples():
+    label = "missing:L1.S1,flip:0.5"
     rows = [
-        DeviationSample(10, 24, 3, True, 0.1, "swap"),
-        DeviationSample(0, 30, 1000, False, 0.25, "missing:L1.S1,flip:0.5"),
-        DeviationSample(2 * (2**64 - 1), 2**65 - 4, 7, True, 0.25, "x"),
+        DeviationSample(10, 24, 3, True, 0.25, label),
+        DeviationSample(0, 30, 1000, False, 0.25, label),
+        DeviationSample(2 * (2**64 - 1), 2**65 - 4, 7, True, 0.25, label),
     ]
     samples = sampler.Samples.from_rows(rows)
     assert samples.out.dtype == samples.ref.dtype == np.uint64
+    assert (samples.epsilon, samples.label) == (0.25, label)
     assert samples.out.tolist() == [5, 0, 2**64 - 1]
     assert samples.re == [10, 0, 2**65 - 2] and samples.im == [24, 30, 2**65 - 4]
     assert len(samples) == 3 and list(samples) == rows and samples == rows
@@ -412,9 +414,25 @@ def test_samples_are_columns_whose_rows_are_deviation_samples():
     assert samples[np.array([2, 0])] == [rows[2], rows[0]]
     assert samples != rows[:2] and samples != "abc"
     assert sampler.Samples.from_rows([]) == []
-    assert sampler.as_samples(samples) is samples
     with pytest.raises(ValueError, match="even"):
         sampler.Samples.from_rows([DeviationSample(3, 2, 1, True, 0.0, "x")])
+
+
+def test_samples_from_rows_takes_one_level_and_points_in_range():
+    row = DeviationSample(10, 24, 3, True, 0.25, "x")
+    for other in (row._replace(epsilon=0.5), row._replace(label="y")):
+        with pytest.raises(ValueError, match="one level"):
+            sampler.Samples.from_rows([row, other])
+    # re and im are twice an output of at most 64 bits: 0..2**65 - 2.
+    for v in (-2, 2**65, 2**66):
+        for bad in (row._replace(re=v), row._replace(im=v)):
+            with pytest.raises(ValueError, match="even"):
+                sampler.Samples.from_rows([row, bad])
+    top = sampler.Samples.from_rows([row._replace(re=2**65 - 2, im=0)])
+    assert (top.re, top.im) == ([2**65 - 2], [0])
+    # An int epsilon reads back as a float, as a level's does.
+    level = sampler.Samples.from_rows([row._replace(epsilon=1)])
+    assert [type(v) for v in level[0]] == [int, int, int, bool, float, str]
 
 
 def test_passes_and_seed_blocks_do_not_change_samples(monkeypatch):
@@ -545,6 +563,31 @@ def test_a_pass_never_holds_a_huge_allocation(trials, budget):
         tracemalloc.stop()
     assert len(samples) == trials
     assert peak < 4 * 2**20
+
+
+def test_run_levels_retains_the_same_memory_at_any_number_of_levels():
+    # 0:1:0.1 and 0:1:0.001 both map to the radii 0..8 at width 8, so both
+    # runs settle the same columns: 9 rows of 2000 trials at 25 B each.  A
+    # level adds only its Samples and four row views, well under 1 KiB; one
+    # per-trial array per level would add at least 16 MB over the 990 more
+    # levels of the fine grid.
+    cfg = _config(circuit=identity_circuit(8), faults=(InputPerturbation(0.05),),
+                  trials=2000)
+    coarse = [round(0.1 * i, 1) for i in range(11)]
+    fine = [round(0.001 * i, 3) for i in range(1001)]
+    sampler.run_levels(cfg, coarse)  # fills the caches both runs read
+    retained = []
+    for grid in (coarse, fine):
+        tracemalloc.start()
+        try:
+            levels = sampler.run_levels(cfg, grid)
+            retained.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert len(levels) == len(grid)
+        del levels
+    assert retained[0] < 2 * 9 * 2000 * 25, retained
+    assert retained[1] - retained[0] < (len(fine) - len(coarse)) * 1024, retained
 
 
 def test_trial_substreams_are_trial_indexed():
