@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
 
@@ -145,15 +145,22 @@ def run_sweep(
     Every level reuses the base seed, so trial t sees the same generator
     stream at each epsilon (paired sampling across the grid), and
     :func:`run_levels` walks that stream once for every level's accept
-    radius: the sweep costs about as much as its lowest level.  The grid
+    radius: the sweep costs about as much as its lowest level.  Levels
+    that share a radius share their columns, and are adjacent in the
+    increasing grid, so each radius is summarized once and its further
+    levels take that summary with their own epsilon and samples.  The grid
     and every level's configuration are checked before the first draw.
     """
     _check_grid(epsilons)
-    levels = run_levels(cfg, epsilons)
-    return SweepResult(cfg.width, [
-        summarize_point(eps, samples, cfg.width)
-        for eps, samples in zip(epsilons, levels)
-    ])
+    points, last = [], None
+    for eps, samples in zip(epsilons, run_levels(cfg, epsilons)):
+        radius = max_acceptable_distance(cfg.width, eps)
+        if radius == last:
+            points.append(replace(points[-1], epsilon=eps, samples=samples))
+        else:
+            points.append(summarize_point(eps, samples, cfg.width))
+        last = radius
+    return SweepResult(cfg.width, points)
 
 
 @dataclass(frozen=True)

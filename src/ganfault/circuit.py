@@ -15,10 +15,10 @@ pair, so a circuit of any depth is a product of independent 2-bit maps and
 each output bit is exactly c0 ^ c1 a ^ c2 b ^ c3 ab in its pair's inputs
 a, b (the algebraic normal form).  Running the layers once on the words 0,
 LO, HI and LO|HI (LO holds the low bit of every pair, HI the high bit) reads
-all four truth-table rows of every pair at once.  They give the masks C0,
-SELF, SWAP and AND, which evaluate any input in a few word operations, and
-each pair's image, from which :meth:`Circuit.nearest` finds the output
-nearest any target exactly.
+all four truth-table rows of every pair at once.  As whole words they give
+the masks C0, SELF, SWAP and AND, which evaluate any input in a few word
+operations.  Pair by pair they give :attr:`Circuit.pair_table`, from which
+:meth:`Circuit.nearest` finds the output nearest any target exactly.
 
 Because no term leaves its pair, the same masks moved up by s bits
 evaluate an input held s bits up in a wider lane, whatever the bits below
@@ -281,7 +281,7 @@ class Circuit:
 
     @cached_property
     def _form(self) -> tuple[int, ...]:
-        """Per-pair ANF masks: (full, C0, SELF, swap down, swap up, AND low)."""
+        """Word-parallel ANF masks: (full, C0, SELF, swap down, swap up, AND low)."""
         full = (1 << self.width) - 1
         lo = full & _LO
         hi = full & ~lo
@@ -333,26 +333,21 @@ class Circuit:
         return out ^ c0 if c0 else out
 
     @cached_property
-    def _nearest_tables(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per output byte: (distance, value) arrays of the nearest reachable
-        output byte, indexed by target byte.
+    def pair_table(self) -> np.ndarray:
+        """Read-only: row k is pair k's output on its inputs 0..3 (bit 2k+1 low).
 
-        A pair can produce exactly the values its four truth-table rows hold,
-        and pairs are independent, so a byte's table combines the tables of
-        its (up to four) pairs.  An odd width ends in a one-bit pair.
+        At odd width the last pair is bit N alone: columns 2 and 3 repeat 0 and 1.
         """
-        tables = []
-        for base in range(0, self.width, 8):
-            table = [(0, 0)]
-            for shift in range(0, min(8, self.width - base), 2):
-                image = {(row >> base + shift) & 3 for row in self._rows}
-                bits = min(2, self.width - base - shift)
-                pair = [min(((t ^ v).bit_count(), v) for v in image)
-                        for t in range(1 << bits)]
-                table = [(d + pd, o | po << shift) for pd, po in pair for d, o in table]
-            distance, value = zip(*table)
-            tables.append((np.array(distance), np.array(value, dtype=np.uint64)))
-        return tuple(tables)
+        table = np.array([[row >> k & 3 for row in self._rows]
+                          for k in range(0, self.width, 2)], dtype=np.uint8)
+        table.flags.writeable = False
+        return table
+
+    def _pair_nearest(self) -> np.ndarray:
+        """Row k, column t: pair k's reachable value nearest t, the smaller on a tie."""
+        reach = self.pair_table[:, None, :]
+        targets = np.arange(4, dtype=np.uint8)[:, None]
+        return (np.bitwise_count(targets ^ reach) * 4 + reach).min(axis=2) & 3
 
     @cached_property
     def covering_radius(self) -> int:
@@ -361,23 +356,26 @@ class Circuit:
         0 exactly when the circuit is a bijection; every target lies within
         this Hamming distance of some output.
         """
-        return sum(int(distance.max()) for distance, _ in self._nearest_tables)
+        distance = np.bitwise_count(self._pair_nearest() ^ np.arange(4, dtype=np.uint8))
+        if self.width % 2:  # the one-bit last pair has only the targets 0 and 1
+            distance[-1, 2:] = 0
+        return int(distance.max(axis=1).sum())
 
     def nearest(self, target):
         """Hamming distance from ``target`` to its nearest output, and that output.
 
         Exact over all 2**width inputs: each pair independently takes its
-        reachable value nearest the target's two bits, ties going to the
-        smaller value.  Works identically for an int (giving numpy scalars)
-        and for an ndarray of uint64 targets (giving arrays), which is what
-        the sampler's unreachable-target screen uses.
+        reachable value nearest the target's two bits (:attr:`pair_table`),
+        ties going to the smaller value.  Works identically for an int
+        (giving numpy scalars) and for an ndarray of uint64 targets (giving
+        arrays), which is what the sampler's unreachable-target screen uses.
         """
-        distance = output = 0
-        for i, (dist, value) in enumerate(self._nearest_tables):
-            byte = (target >> 8 * i) & 0xFF
-            distance += dist[byte]
-            output |= value[byte] << 8 * i
-        return distance, output
+        shifts = np.arange(0, self.width, 2, dtype=np.uint64)
+        target = np.asarray(target, dtype=np.uint64)
+        pairs = target[..., None] >> shifts & np.uint64(3)
+        value = self._pair_nearest()[np.arange(len(shifts)), pairs]
+        output = np.bitwise_or.reduce(value.astype(np.uint64) << shifts, axis=-1)
+        return np.bitwise_count(target ^ output).astype(np.int64), output
 
     def evaluate(self, v: BitVector) -> BitVector:
         if v.width != self.width:

@@ -68,7 +68,7 @@ MAX_CANVAS = 8192
 # A run holds 25 B per trial per distinct accept radius, of which a sweep at
 # width N has up to N + 1: 25 MB a radius here.
 MAX_TRIALS = 1_000_000
-MAX_GRID_LEVELS = 1001  # a sweep fits and summarizes every level
+MAX_GRID_LEVELS = 1001  # bounds the grid list and sweep.csv, one row a level
 
 # JSON yields exact int, float, str, bool and list objects, so exact type
 # tests also keep true/false out of the integer and number keys.
@@ -101,13 +101,9 @@ _RANGES = {
 
 
 def _add_common(
-    p: argparse.ArgumentParser,
-    *,
-    needs_ckt: bool = True,
-    fault_help: str = "comma-separated fault specs",
+    p: argparse.ArgumentParser, *, fault_help: str = "comma-separated fault specs"
 ) -> None:
-    if needs_ckt:
-        p.add_argument("--ckt", help="circuit netlist file (.ckt)")
+    p.add_argument("--ckt", help="circuit netlist file (.ckt)")
     p.add_argument("--fault", help=fault_help)
     p.add_argument("--trials", type=int,
                    help=f"number of trials per experiment, 1..{MAX_TRIALS}")
@@ -354,7 +350,7 @@ def cmd_dataset(cfg: dict) -> int:
         label, sep, fault_text = entry.partition("=")
         if not sep:
             raise ValueError(f"run entry must be LABEL=FAULTSPECS, got {entry!r}")
-        run = replace(exp, faults=parse_fault_list(fault_text), label=label)
+        run = replace(exp, faults=parse_fault_list(fault_text))
         inject_all(run.circuit, run.faults)
         runs.append((label, run))
     out = _out_dir(cfg, "dataset")

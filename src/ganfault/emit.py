@@ -102,10 +102,17 @@ def read_samples_csv(source) -> Samples:
     if tuple(header) != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header}")
     return Samples.from_rows(
-        DeviationSample(int(re_), int(im), int(iters), accepted == "true",
+        DeviationSample(int(re_), int(im), int(iters), _read_flag(accepted),
                         float(eps), label)
         for _, eps, re_, im, iters, accepted, label in reader
     )
+
+
+def _read_flag(cell: str) -> bool:
+    """An ``accepted`` cell as :func:`samples_to_csv` writes it: true or false."""
+    if cell not in ("true", "false"):
+        raise ValueError(f"accepted must be true or false, got {cell!r}")
+    return cell == "true"
 
 
 def render_scatter(
@@ -182,14 +189,10 @@ def counts_to_pgm(counts: np.ndarray) -> str:
     The top raster row holds the highest re bin so the identity diagonal
     rises from the bottom-left corner.
     """
-    peak = int(counts.max())
+    peak = max(int(counts.max()), 1)  # an all-zero grid stays zero
     rows, cols = counts.shape
     lines = ["P2", f"{cols} {rows}", "255"]
-    for r in range(rows - 1, -1, -1):
-        if peak == 0:
-            lines.append(" ".join("0" for _ in range(cols)))
-        else:
-            lines.append(" ".join(str(int(c) * 255 // peak) for c in counts[r]))
+    lines += (" ".join(str(int(c) * 255 // peak) for c in row) for row in counts[::-1])
     return "\n".join(lines) + "\n"
 
 

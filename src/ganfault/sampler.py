@@ -272,12 +272,7 @@ class Samples(Sequence):
 
 @dataclass
 class ExperimentConfig:
-    """Parameters of one sampling experiment.
-
-    ``label`` defaults to the canonical fault-list string ("none" when no
-    faults are injected).  ``seed`` is mandatory; there is no OS-entropy
-    fallback.
-    """
+    """Parameters of one sampling experiment; ``seed`` has no OS-entropy fallback."""
 
     circuit: Circuit
     epsilon: float
@@ -286,7 +281,6 @@ class ExperimentConfig:
     faults: tuple[FaultSpec, ...] = ()
     mode: ComparisonMode = ComparisonMode.FAULT_COMPARE
     max_iterations: int = 1_000_000
-    label: str | None = None
 
     @property
     def width(self) -> int:
@@ -303,8 +297,7 @@ class ExperimentConfig:
             raise ValueError("seed must be a non-negative integer")
 
     def resolved_label(self) -> str:
-        if self.label is not None:
-            return self.label
+        """The samples' label: the canonical fault list, or "none" without faults."""
         return format_fault_list(self.faults) or "none"
 
 

@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from ganfault import sampler
+from ganfault import analysis, sampler
 from ganfault.analysis import (
     DEFAULT_EPSILON_GRID,
     GateComposition,
@@ -19,13 +19,20 @@ from ganfault.analysis import (
     fit_linear,
     full_scale,
     run_sweep,
+    summarize_point,
     table1_deviation,
     table1_report,
     table1_row,
 )
 from ganfault.circuit import GateKind, identity_circuit, unary_layer, Circuit
 from ganfault.faults import InputPerturbation, Missing
-from ganfault.sampler import ComparisonMode, DeviationSample, ExperimentConfig, Samples
+from ganfault.sampler import (
+    ComparisonMode,
+    DeviationSample,
+    ExperimentConfig,
+    Samples,
+    max_acceptable_distance,
+)
 
 
 def _samples(points, eps=0.1):
@@ -242,6 +249,35 @@ def test_run_sweep_walks_each_trial_stream_once(monkeypatch):
         for trial in zip(*(p.samples for p in sweep.points)):
             iterations = [s.iterations for s in trial]
             assert all(b <= a for a, b in zip(iterations, iterations[1:]))
+
+
+def test_run_sweep_summarizes_each_accept_radius_once(monkeypatch):
+    # Levels that share an accept radius share their columns, so the 101
+    # levels of 0:1:0.01 at width 16 (17 radii) take 17 summaries, and each
+    # point still equals its own level's summary.
+    cfg = ExperimentConfig(
+        circuit=Circuit(16, [unary_layer(GateKind.NOT, 16)]),
+        epsilon=0.0,
+        trials=200,
+        seed=5,
+        faults=(InputPerturbation(0.05),),
+        max_iterations=100,
+    )
+    grid = [round(0.01 * i, 2) for i in range(101)]
+    calls = []
+
+    def counting(epsilon, samples, width):
+        calls.append(epsilon)
+        return summarize_point(epsilon, samples, width)
+
+    monkeypatch.setattr(analysis, "summarize_point", counting)
+    sweep = run_sweep(cfg, grid)
+    assert len(calls) == len({max_acceptable_distance(16, eps) for eps in grid}) == 17
+    levels = sampler.run_levels(cfg, grid)
+    assert len(sweep.points) == len(levels) == 101
+    for eps, samples, point in zip(grid, levels, sweep.points):
+        assert point == summarize_point(eps, samples, 16), eps
+        assert point.samples.epsilon == eps and point.fit is not None
 
 
 # --- reversed-composition table ------------------------------------------

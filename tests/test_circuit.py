@@ -273,6 +273,23 @@ def test_nearest_breaks_ties_toward_the_smaller_value():
     assert identity_circuit(7).covering_radius == 0
 
 
+def test_pair_table_rows_are_each_pair_evaluated_alone():
+    # Row k, column v is pair k's output bits when only its input bits hold
+    # v; the one-bit last pair at odd width reads bit 2 of v as absent.
+    rng = random.Random(1717)
+    for width in list(range(1, 17)) + [33, 63, 64]:
+        full = (1 << width) - 1
+        for c in _faulted_variants(rng, random_circuit(rng, width)):
+            table = c.pair_table
+            assert table.dtype == np.uint8 and table.shape == ((width + 1) // 2, 4)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+            for k, row in enumerate(table.tolist()):
+                outputs = [reference_evaluate(c, v << 2 * k & full) for v in range(4)]
+                assert row == [out >> 2 * k & 3 for out in outputs], (width, k)
+
+
 def test_constant_circuit_batch_keeps_shape():
     # XOR then XOR outputs 00 and XOR then XNOR outputs 11 whatever the input,
     # so the compiled form has no input-dependent term at all.

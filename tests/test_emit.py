@@ -72,6 +72,8 @@ def test_csv_deterministic_and_roundtrip(tmp_path):
     (["0,0.1,10,73786976294838206464,3,true,swap"], "even"),  # 2**66
     (["0,0.1,11,24,3,true,swap"], "even"),
     (["0,0.1,10,24,18446744073709551616,true,swap"], "iterations"),  # 2**64
+    (["0,0.1,10,24,3,TRUE,swap"], "true or false"),
+    (["0,0.1,10,24,3,yes,swap"], "true or false"),
 ])
 def test_csv_read_rejects_mixed_levels_and_points_out_of_range(tmp_path, rows, match):
     path = tmp_path / "s.csv"

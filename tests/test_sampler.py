@@ -751,3 +751,60 @@ def test_perturbed_buffer_outputs_uniform_chi_square():
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     critical = scipy.stats.chi2.ppf(0.99, df=15)
     assert chi2 < critical, f"chi2={chi2:.2f} >= {critical:.2f}"
+
+
+def test_target_search_accepts_the_exact_expectation():
+    # Uniform inputs keep the pairs independent, so the distance from target
+    # t to the output of a uniform input is a sum of independent per-pair
+    # distances, each pair's law read off its pair_table row.  Their
+    # convolution gives p(t) = P(distance <= K), and a trial with budget B
+    # accepts with probability 1 - (1 - p(t))**B averaged over the target.
+    # Brute force over every input's output must give the same value, and
+    # the sampled count must lie in its binomial interval, tail 1e-6 a side.
+    circuit = Circuit(16, [pair_layer(GateKind.AND, 16), unary_layer(GateKind.NOT, 16)])
+    faults = (ReversedPolarity(1, 1),)
+    faulty = inject_all(circuit, faults)
+    trials, budget, grid = 2500, 50_000, (0.0, 0.1, 0.2)
+    ks = [max_acceptable_distance(16, eps) for eps in grid]
+    targets = np.arange(1 << 16, dtype=np.uint64)
+
+    law = np.ones((len(targets), 1))  # law[t, d] = P(distance = d) so far
+    for k, row in enumerate(faulty.pair_table.tolist()):
+        pair_law = np.zeros((4, 3))
+        for v, out in itertools.product(range(4), row):
+            pair_law[v, (v ^ out).bit_count()] += 1 / 4
+        bits = (targets >> np.uint64(2 * k) & np.uint64(3)).astype(np.intp)
+        step = np.zeros((len(targets), law.shape[1] + 2))
+        for d in range(3):
+            step[:, d : d + law.shape[1]] += law * pair_law[bits, d, None]
+        law = step
+    exact_p = law.cumsum(axis=1)[:, ks].T
+
+    image, counts = np.unique(faulty.evaluate_batch(targets), return_counts=True)
+    brute_p = np.zeros_like(exact_p)
+    for start in range(0, len(targets), 4096):
+        dist = np.bitwise_count(targets[start : start + 4096, None] ^ image)
+        for i, k in enumerate(ks):
+            brute_p[i, start : start + 4096] = ((dist <= k) * counts).sum(axis=1) / 2**16
+
+    def expected_accepted(p):
+        return trials * (1 - (1 - p) ** budget).mean(axis=1)
+
+    exact, brute = expected_accepted(exact_p), expected_accepted(brute_p)
+    for e, b in zip(exact.tolist(), brute.tolist()):
+        assert math.isclose(e, b, rel_tol=1e-12)
+    assert [f"{e:.4g}" for e in exact] == ["9.716", "87.81", "908.2"]
+
+    cfg = ExperimentConfig(
+        circuit=circuit,
+        epsilon=0.0,
+        trials=trials,
+        seed=1,
+        faults=faults,
+        mode=ComparisonMode.TARGET_SEARCH,
+        max_iterations=budget,
+    )
+    for samples, mean in zip(sampler.run_levels(cfg, grid), exact.tolist()):
+        low = scipy.stats.binom.ppf(1e-6, trials, mean / trials)
+        high = scipy.stats.binom.isf(1e-6, trials, mean / trials)
+        assert low <= int(samples.accepted.sum()) <= high, (samples.epsilon, low, high)

@@ -5,6 +5,7 @@ renamed or deleted function, or a result it can no longer read, would
 break only a benchmark run.
 """
 
+import ast
 import importlib.util
 import json
 from pathlib import Path
@@ -13,7 +14,8 @@ from ganfault import cli, emit
 from ganfault.circuit import Circuit, GateKind, pair_layer, unary_layer
 from ganfault.netlist import serialize_netlist
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def test_every_traced_function_exists():
@@ -24,6 +26,24 @@ def test_every_traced_function_exists():
     assert table
     for owner, attr, _, _ in table:
         assert callable(getattr(owner, attr, None)), (owner.__name__, attr)
+
+
+def test_every_name_perfbench_imports_exists():
+    # perfbench imports ganfault names inside the functions that use them,
+    # so a deleted or renamed one would otherwise fail only a benchmark run.
+    imported = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ganfault"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    imported.add((node.module, alias.name))
+                    assert hasattr(module, alias.name) or importlib.util.find_spec(
+                        f"{node.module}.{alias.name}"
+                    ), (path.name, node.module, alias.name)
+    assert {("ganfault.analysis", "analytic_mean_iterations"),
+            ("ganfault.netlist", "serialize_netlist"),
+            ("ganfault.circuit", "pair_layer")} <= imported
 
 
 def test_dataset_results_read_as_perfbench_counts_them(tmp_path, monkeypatch):
