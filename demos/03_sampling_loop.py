@@ -3,9 +3,11 @@ The generator / modulator / discriminator loop
 ==============================================
 
 Random inputs are redrawn until the modulated output approximates a
-reference within the uncertainty level.  For a circuit whose outputs are
-uniform, the iteration count is geometric with mean 2**N divided by the
-Hamming-ball volume, so the cost falls exponentially as the tolerance
+reference within the uncertainty level.  The exact model of one draw
+(``ganfault.exact``) convolves per-pair distance laws into the chance p
+that a draw is accepted, and the iteration count is geometric in p.  On
+the identity map that model gives the "analytic" column, 2**N divided by
+the Hamming-ball volume, so the cost falls exponentially as the tolerance
 grows.
 """
 

@@ -57,13 +57,11 @@ from .hopfield import (
 )
 from .analysis import (
     GateComposition,
-    IterationScalingFit,
     LinearFit,
     SweepResult,
     TransitionEstimate,
     analytic_mean_iterations,
     detect_transition,
-    fit_iteration_scaling,
     fit_linear,
     run_sweep,
     table1_deviation,

@@ -5,7 +5,9 @@ scale-free nonlinearity statistic rho = RMS residual / (2**(N+1) - 2).
 A sweep samples every uncertainty level in one walk of each trial's
 stream (:func:`ganfault.sampler.run_levels`); the transition point
 eps* is the smallest grid level whose rho exceeds the threshold tau among
-levels with enough accepted samples.
+levels with enough accepted samples.  Expected iteration counts come from
+the exact model of one draw (:mod:`ganfault.exact`); its identity-map case
+is :func:`analytic_mean_iterations`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
 
-from .circuit import GateKind, eval_gate
+from . import exact
+from .circuit import GateKind, eval_gate, identity_circuit
 from .sampler import (
     ExperimentConfig,
     Samples,
@@ -28,7 +31,6 @@ from .sampler import (
 DEFAULT_TAU = 0.05
 DEFAULT_MIN_SAMPLES = 200
 DEFAULT_EPSILON_GRID = tuple(round(0.05 * i, 2) for i in range(11))
-UNRELIABLE_CENSORED_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -44,28 +46,6 @@ def full_scale(width: int) -> int:
     return (1 << (width + 1)) - 2
 
 
-def _least_squares(
-    xs: Sequence[float], ys: Sequence[float], degenerate: str
-) -> tuple[float, float, float, float]:
-    """Ordinary least squares y = slope * x + intercept.
-
-    Returns (slope, intercept, r_squared, ss_res); raises ``ValueError``
-    with the message ``degenerate`` when all x values are equal.
-    """
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
-        raise ValueError(degenerate)
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return slope, intercept, r_squared, ss_res
-
-
 def fit_linear(samples: Samples, width: int) -> LinearFit:
     """Least-squares line re = slope * im + intercept over the samples.
 
@@ -74,11 +54,17 @@ def fit_linear(samples: Samples, width: int) -> LinearFit:
     n = len(samples)
     if n < 2:
         raise ValueError("degenerate abscissa: need at least two samples")
-    slope, intercept, r_squared, ss_res = _least_squares(
-        samples.im, samples.re, "degenerate abscissa: all im values equal"
-    )
-    rho = math.sqrt(ss_res / n) / full_scale(width)
-    return LinearFit(slope, intercept, r_squared, rho)
+    xs, ys = samples.im, samples.re
+    mean_x, mean_y = sum(xs) / n, sum(ys) / n
+    sxx = sum((x - mean_x) ** 2 for x in xs)
+    if sxx == 0:
+        raise ValueError("degenerate abscissa: all im values equal")
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
+    intercept = mean_y - slope * mean_x
+    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
+    ss_tot = sum((y - mean_y) ** 2 for y in ys)
+    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
+    return LinearFit(slope, intercept, r_squared, math.sqrt(ss_res / n) / full_scale(width))
 
 
 @dataclass
@@ -196,51 +182,11 @@ def detect_transition(
     return TransitionEstimate(None, tau, min_samples)
 
 
-def hamming_ball_volume(width: int, radius: int) -> int:
-    return sum(math.comb(width, i) for i in range(radius + 1))
-
-
 def analytic_mean_iterations(width: int, epsilon: float) -> float:
-    """Expected draws for TARGET_SEARCH on an unbiased (uniform-output) map.
-
-    A uniform output hits the Hamming ball of the target with probability
-    ball/2**N, so the iteration count is geometric with mean 2**N / ball.
-    """
-    ball = hamming_ball_volume(width, max_acceptable_distance(width, epsilon))
-    return (1 << width) / ball
-
-
-@dataclass(frozen=True)
-class IterationScalingFit:
-    """log mean iterations regressed on the log analytic ball prediction."""
-
-    rate: float
-    prefactor: float
-    r_squared: float
-    points_used: int
-
-
-def fit_iteration_scaling(sweep: SweepResult) -> IterationScalingFit:
-    """Fit exponential iteration scaling across the sweep's epsilon grid.
-
-    Uses points with accepted samples and censored fraction at most 10%
-    (budget exhaustion biases the mean downward); needs at least three.
-    """
-    xs, ys = [], []
-    for p in sweep.points:
-        if p.mean_iterations is None or p.mean_iterations <= 0:
-            continue
-        if p.censored_fraction > UNRELIABLE_CENSORED_FRACTION:
-            continue
-        xs.append(math.log(analytic_mean_iterations(sweep.width, p.epsilon)))
-        ys.append(math.log(p.mean_iterations))
-    n = len(xs)
-    if n < 3:
-        raise ValueError(f"underdetermined: {n} usable sweep points, need 3")
-    rate, intercept, r_squared, _ = _least_squares(
-        xs, ys, "underdetermined: all predictor values equal"
-    )
-    return IterationScalingFit(rate, math.exp(intercept), r_squared, n)
+    """Expected TARGET_SEARCH draws on the identity map, without a budget: 2**N / ball."""
+    law = exact.distance_law(identity_circuit(width), 0)
+    p = exact.acceptance(law, max_acceptable_distance(width, epsilon))
+    return float(exact.expected_iterations(p, math.inf))
 
 
 # --- Two-stage gate compositions (the reversed-operation table) ----------

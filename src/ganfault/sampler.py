@@ -291,8 +291,9 @@ class ExperimentConfig:
             raise ValueError(f"epsilon out of range [0, 1]: {self.epsilon}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.max_iterations < 1:
-            raise ValueError(f"max iterations must be >= 1, got {self.max_iterations}")
+        if not 1 <= self.max_iterations < 1 << 63:  # the int64 iterations column's range
+            bound = ">= 1" if self.max_iterations < 1 else "<= 2**63 - 1"
+            raise ValueError(f"max iterations must be {bound}, got {self.max_iterations}")
         if self.seed is None or self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
 

@@ -12,6 +12,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from ganfault.analysis import (
     TABLE1_PAIRS,
@@ -31,11 +32,17 @@ from ganfault.circuit import (
     pair_layer,
     unary_layer,
 )
+from ganfault import exact
 from ganfault.cli import main as cli_main
 from ganfault.faults import InputPerturbation, ReversedPolarity, Swap
 from ganfault.hopfield import pair_energy, spectrum
 from ganfault.netlist import NetlistError, parse_netlist, serialize_netlist
-from ganfault.sampler import ComparisonMode, ExperimentConfig, run_experiment
+from ganfault.sampler import (
+    ComparisonMode,
+    ExperimentConfig,
+    max_acceptable_distance,
+    run_experiment,
+)
 
 from conftest import random_circuit
 
@@ -83,7 +90,7 @@ def test_criterion_2_table1_deviation_oracle():
 
 
 def test_criterion_3_iteration_scaling_oracle():
-    with criterion(3, "mean iterations within 5% of the analytic ball oracle"):
+    with criterion(3, "mean iterations within 5% of the ball oracle, and of the exact model"):
         grid = (0.0, 1 / 8, 2 / 8)
         cfg = ExperimentConfig(
             circuit=identity_circuit(8),
@@ -108,6 +115,15 @@ def test_criterion_3_iteration_scaling_oracle():
             assert abs(got - want) / want <= 0.05, f"{got} vs {want}"
         logs = [math.log(m) for m in means]
         assert logs[0] > logs[1] > logs[2]
+        # The exact E[min(G, B)] of the budgeted trials: min(G, B) is
+        # 1-Lipschitz in the geometric G, so its sd is at most sqrt(1 - p) / p,
+        # and each mean lies within the CLT bound, tail 1e-6 a side.
+        law = exact.distance_law(cfg.circuit, 0)
+        for eps, got in zip(grid, means):
+            p = exact.acceptance(law, max_acceptable_distance(8, eps))
+            want = exact.expected_iterations(p, cfg.max_iterations)
+            bound = scipy.stats.norm.isf(1e-6) * math.sqrt(1 - p) / p / math.sqrt(cfg.trials)
+            assert abs(got - want) <= bound, f"eps {eps}: {got} vs {want} +- {bound}"
 
 
 def test_criterion_4_diagonal_invariant():
@@ -295,6 +311,7 @@ def test_criterion_9_convergence_ordering():
     with criterion(9, "all-NOT converges before AND-pairs at eps=0.1, N=8"):
         budget = 20_000
         trials = 400
+        targets = np.arange(256, dtype=np.uint64)
 
         def cost_per_accepted(circuit: Circuit) -> tuple[float, int]:
             samples = run_experiment(
@@ -312,18 +329,36 @@ def test_criterion_9_convergence_ordering():
             total = sum(s.iterations for s in samples)
             return total / accepted, accepted
 
-        not_cost, not_accepted = cost_per_accepted(
-            Circuit(8, [unary_layer(GateKind.NOT, 8)])
-        )
-        and_cost, and_accepted = cost_per_accepted(
-            Circuit(8, [pair_layer(GateKind.AND, 8)])
-        )
-        assert not_cost < and_cost
-        # Only the ordering is asserted; the observed speed factor is
-        # recorded alongside for comparison with the two-to-three-times
-        # claim.
+        def exact_cost(circuit: Circuit) -> tuple[float, float, int]:
+            # Every target, the unreachable ones (p = 0) at their whole budget.
+            p = exact.acceptance(exact.distance_law(circuit, targets),
+                                 max_acceptable_distance(8, 0.1))
+            accept = (1 - exact.censored_chance(p, budget)).mean()
+            cost = exact.expected_iterations(p, budget).mean() / accept
+            return cost, accept, int((p == 0).sum())
+
+        circuits = {
+            "NOT": Circuit(8, [unary_layer(GateKind.NOT, 8)]),
+            "AND": Circuit(8, [pair_layer(GateKind.AND, 8)]),
+        }
+        sampled = {name: cost_per_accepted(c) for name, c in circuits.items()}
+        model = {name: exact_cost(c) for name, c in circuits.items()}
+        assert sampled["NOT"][0] < sampled["AND"][0]
+        assert model["NOT"][0] < model["AND"][0]
+        assert (model["NOT"][2], model["AND"][2]) == (0, 240)
+        for name, (_, accepted) in sampled.items():
+            chance = model[name][1]
+            low = scipy.stats.binom.ppf(1e-6, trials, chance)
+            high = scipy.stats.binom.isf(1e-6, trials, chance)
+            assert low <= accepted <= high, (name, accepted, low, high)
+        # The speed factor is recorded alongside for comparison with the
+        # two-to-three-times claim.
+        not_cost, not_accepted = sampled["NOT"]
+        and_cost, and_accepted = sampled["AND"]
         print(
             f"  draws per accepted sample: NOT {not_cost:.0f} "
             f"({not_accepted}/{trials} accepted), AND {and_cost:.0f} "
-            f"({and_accepted}/{trials} accepted), factor {and_cost / not_cost:.1f}x"
+            f"({and_accepted}/{trials} accepted), factor {and_cost / not_cost:.1f}x; "
+            f"exact NOT {model['NOT'][0]:.0f}, AND {model['AND'][0]:.0f}, "
+            f"factor {model['AND'][0] / model['NOT'][0]:.1f}x"
         )

@@ -3,8 +3,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+import scipy.stats
 
-from ganfault import analysis, sampler
+from ganfault import analysis, exact, sampler
 from ganfault.analysis import (
     DEFAULT_EPSILON_GRID,
     GateComposition,
@@ -15,7 +16,6 @@ from ganfault.analysis import (
     TABLE1_ROWS,
     analytic_mean_iterations,
     detect_transition,
-    fit_iteration_scaling,
     fit_linear,
     full_scale,
     run_sweep,
@@ -143,33 +143,39 @@ def test_analytic_mean_iterations():
     assert analytic_mean_iterations(8, 1.0) == 1.0
 
 
-def test_fit_iteration_scaling_on_identity_search():
+def test_analytic_mean_iterations_is_two_to_the_n_over_the_ball():
+    # The uniform-map formula 2**N / ball: bit for bit at N = 8 and 16, where
+    # every per-pair law and partial sum of the model is an exact binary fraction.
+    for width in range(1, 65):
+        for radius in range(width + 1):
+            ball = sum(math.comb(width, i) for i in range(radius + 1))
+            got = analytic_mean_iterations(width, radius / width)
+            if width in (8, 16):
+                assert got == (1 << width) / ball, (width, radius)
+            assert math.isclose(got, (1 << width) / ball, rel_tol=1e-12), (width, radius)
+
+
+def test_identity_search_sweep_means_match_the_exact_iterations():
+    # Every trial accepts within its budget, so the mean over accepted trials
+    # is the mean of min(G, B), which lies within the CLT bound of the exact
+    # value, tail 1e-6 a side (tests/test_exact.py states the bound).
+    trials, grid = 2000, (0.0, 1 / 8, 2 / 8, 3 / 8)
     cfg = ExperimentConfig(
         circuit=identity_circuit(8),
         epsilon=0.0,
-        trials=2000,
+        trials=trials,
         seed=3,
         mode=ComparisonMode.TARGET_SEARCH,
     )
-    sweep = run_sweep(cfg, (0.0, 1 / 8, 2 / 8, 3 / 8))
-    fit = fit_iteration_scaling(sweep)
-    assert fit.points_used == 4
-    assert math.isclose(fit.rate, 1.0, rel_tol=0.1)
-    assert math.isclose(fit.prefactor, 1.0, rel_tol=0.35)
-    assert fit.r_squared > 0.99
-    means = [p.mean_iterations for p in sweep.points]
-    assert all(b < a for a, b in zip(means, means[1:]))
-
-
-def test_fit_iteration_scaling_underdetermined():
-    sweep = _synthetic_sweep((0.0,), (0.1,))
-    with pytest.raises(ValueError, match="underdetermined"):
-        fit_iteration_scaling(sweep)
-    censored = _synthetic_sweep((0.0, 0.0, 0.0), (0.1, 0.2, 0.3))
-    for p in censored.points:
-        p.censored_fraction = 0.5
-    with pytest.raises(ValueError, match="underdetermined"):
-        fit_iteration_scaling(censored)
+    law = exact.distance_law(cfg.circuit, 0)
+    chances = [exact.acceptance(law, max_acceptable_distance(8, eps)) for eps in grid]
+    want = [exact.expected_iterations(p, cfg.max_iterations) for p in chances]
+    assert all(b < a for a, b in zip(want, want[1:]))
+    z = scipy.stats.norm.isf(1e-6)
+    for point, p, mean in zip(run_sweep(cfg, grid).points, chances, want):
+        assert point.accepted_count == trials
+        bound = z * math.sqrt(1 - p) / p / math.sqrt(trials)
+        assert abs(point.mean_iterations - mean) <= bound, (point.epsilon, mean)
 
 
 def test_fault_free_sweep_is_diagonal_everywhere():

@@ -332,16 +332,17 @@ def test_dataset_help_names_run_as_the_source_of_faults(capsys):
 
 def test_import_leaves_numpy_random_and_scipy_unloaded():
     # Each CLI call pays for what importing the CLI loads; numpy.random is
-    # loaded at a run's first trial and scipy only by the tests.
+    # loaded at a run's first trial.  scipy is only a test extra, so a plain
+    # install has none: the exact model, which the CLI loads, must not need it.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ganfault.cli; "
-         "print(sorted(m for m in sys.modules "
+         "print('ganfault.exact' in sys.modules, sorted(m for m in sys.modules "
          "if m == 'scipy' or m.startswith(('numpy.random', 'scipy.'))))"],
         capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "True []"
 
 
 def test_module_entry_point(not4_ckt):
@@ -526,6 +527,8 @@ def test_bad_tau_exits_2_before_sampling(tau, not4_ckt, tmp_path, monkeypatch, c
     ("simulate", ["--trials", "0"], "trials must be >= 1, got 0"),
     ("spectrum", ["--seed", "-1"], "seed must be a non-negative integer"),
     ("simulate", ["--max-iterations", "0"], "max iterations must be >= 1, got 0"),
+    ("simulate", ["--mode", "target-search", "--eps", "0", "--max-iterations", str(1 << 63)],
+     "max iterations must be <= 2**63 - 1, got 9223372036854775808"),
     ("sweep", ["--grid", "0.1,1.5"], "epsilon out of range [0, 1]: 1.5"),
     ("simulate", ["--fault", "missing:L9.S1"], "slot: layer 9 out of range"),
     ("dataset", ["--run", "bad"], "run entry must be LABEL=FAULTSPECS, got 'bad'"),

@@ -18,7 +18,7 @@ from ganfault.circuit import (
     pair_layer,
     unary_layer,
 )
-from ganfault import sampler
+from ganfault import exact, sampler
 from ganfault.analysis import DEFAULT_EPSILON_GRID, run_sweep
 from ganfault.faults import InputPerturbation, Missing, ReversedPolarity, Swap, inject_all
 from ganfault.sampler import (
@@ -754,31 +754,19 @@ def test_perturbed_buffer_outputs_uniform_chi_square():
 
 
 def test_target_search_accepts_the_exact_expectation():
-    # Uniform inputs keep the pairs independent, so the distance from target
-    # t to the output of a uniform input is a sum of independent per-pair
-    # distances, each pair's law read off its pair_table row.  Their
-    # convolution gives p(t) = P(distance <= K), and a trial with budget B
-    # accepts with probability 1 - (1 - p(t))**B averaged over the target.
-    # Brute force over every input's output must give the same value, and
-    # the sampled count must lie in its binomial interval, tail 1e-6 a side.
+    # The exact model gives each target's chance p(t) that one draw is
+    # accepted, and a trial with budget B accepts with chance
+    # 1 - (1 - p(t))**B averaged over the target.  Brute force over every
+    # input's output must give the same value, and the sampled count must
+    # lie in its binomial interval, tail 1e-6 a side.
     circuit = Circuit(16, [pair_layer(GateKind.AND, 16), unary_layer(GateKind.NOT, 16)])
     faults = (ReversedPolarity(1, 1),)
     faulty = inject_all(circuit, faults)
     trials, budget, grid = 2500, 50_000, (0.0, 0.1, 0.2)
     ks = [max_acceptable_distance(16, eps) for eps in grid]
     targets = np.arange(1 << 16, dtype=np.uint64)
-
-    law = np.ones((len(targets), 1))  # law[t, d] = P(distance = d) so far
-    for k, row in enumerate(faulty.pair_table.tolist()):
-        pair_law = np.zeros((4, 3))
-        for v, out in itertools.product(range(4), row):
-            pair_law[v, (v ^ out).bit_count()] += 1 / 4
-        bits = (targets >> np.uint64(2 * k) & np.uint64(3)).astype(np.intp)
-        step = np.zeros((len(targets), law.shape[1] + 2))
-        for d in range(3):
-            step[:, d : d + law.shape[1]] += law * pair_law[bits, d, None]
-        law = step
-    exact_p = law.cumsum(axis=1)[:, ks].T
+    law = exact.distance_law(faulty, targets)
+    exact_p = np.array([exact.acceptance(law, k) for k in ks])
 
     image, counts = np.unique(faulty.evaluate_batch(targets), return_counts=True)
     brute_p = np.zeros_like(exact_p)
@@ -788,12 +776,12 @@ def test_target_search_accepts_the_exact_expectation():
             brute_p[i, start : start + 4096] = ((dist <= k) * counts).sum(axis=1) / 2**16
 
     def expected_accepted(p):
-        return trials * (1 - (1 - p) ** budget).mean(axis=1)
+        return trials * (1 - exact.censored_chance(p, budget)).mean(axis=1)
 
-    exact, brute = expected_accepted(exact_p), expected_accepted(brute_p)
-    for e, b in zip(exact.tolist(), brute.tolist()):
+    model, brute = expected_accepted(exact_p), expected_accepted(brute_p)
+    for e, b in zip(model.tolist(), brute.tolist()):
         assert math.isclose(e, b, rel_tol=1e-12)
-    assert [f"{e:.4g}" for e in exact] == ["9.716", "87.81", "908.2"]
+    assert [f"{e:.4g}" for e in model] == ["9.716", "87.81", "908.2"]
 
     cfg = ExperimentConfig(
         circuit=circuit,
@@ -804,7 +792,7 @@ def test_target_search_accepts_the_exact_expectation():
         mode=ComparisonMode.TARGET_SEARCH,
         max_iterations=budget,
     )
-    for samples, mean in zip(sampler.run_levels(cfg, grid), exact.tolist()):
+    for samples, mean in zip(sampler.run_levels(cfg, grid), model.tolist()):
         low = scipy.stats.binom.ppf(1e-6, trials, mean / trials)
         high = scipy.stats.binom.isf(1e-6, trials, mean / trials)
         assert low <= int(samples.accepted.sum()) <= high, (samples.epsilon, low, high)
