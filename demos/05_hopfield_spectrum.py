@@ -2,12 +2,13 @@
 Agreement vectors and the pair-energy spectrum
 ==============================================
 
-Each accepted sample yields a vector of per-bit agreements between the
-modulated and reference signals: a BitVector whose bit j is 1 where the
-two signals match.  Pair energies over the ensemble are
-most negative for full agreement (the stable states), and configurations
-sharing an agreement count form manifolds of constant uncertainty whose
-patterns can be checked for completeness against binomial counts.
+Each accepted sample yields a word of per-bit agreements between the
+modulated and reference signals, whose bit j - 1 is 1 where the two
+signals match; the ensemble is a uint64 array of them.  Pair energies over
+the ensemble are most negative for full agreement (the stable states), and
+configurations sharing an agreement count form manifolds of constant
+uncertainty whose patterns can be checked for completeness against
+binomial counts.
 """
 
 from ganfault import (
@@ -29,8 +30,8 @@ b = BitVector.from_string("1000")
 xi = agreement_vector(a, b)
 print("xi:", xi.bits, " agreement count:", xi.popcount())
 
-# Sample a perturbed identity circuit and build the ensemble from the
-# accepted trials.
+# Sample a perturbed identity circuit and build the ensemble, one
+# agreement word per accepted trial.
 cfg = ExperimentConfig(
     circuit=identity_circuit(4),
     faults=(InputPerturbation(0.5),),
@@ -42,9 +43,9 @@ ensemble = ensemble_from_samples(run_experiment(cfg), width=4)
 print(f"\nensemble size: {len(ensemble)}")
 
 # A single pair energy, straight from the definition.
-print("E^0_(1,2) =", pair_energy(ensemble, 0, 1, 2))
+print("E^0_(1,2) =", pair_energy(ensemble, 4, 0, 1, 2))
 
-spec = spectrum(ensemble)
+spec = spectrum(ensemble, 4)
 print(f"energy floor -P/(2N) = {spec.energy_floor:.1f}")
 print(f"{'k':>3} {'members':>8} {'patterns':>9} {'mean energy':>12}")
 for k, m in sorted(spec.manifolds.items()):

@@ -65,8 +65,8 @@ _DEFAULTS = {
 
 MAX_BINS = 1024  # the dataset histogram holds bins**2 int64 counts
 MAX_CANVAS = 8192
-# A run holds 25 B per trial per distinct accept radius, of which a sweep at
-# width N has up to N + 1: 25 MB a radius here.
+# A run holds 25 B per trial per distinct accept radius (25 MB a radius here),
+# of which a sweep at width N has up to N + 1; spectrum adds 8 B per accepted trial.
 MAX_TRIALS = 1_000_000
 MAX_GRID_LEVELS = 1001  # bounds the grid list and sweep.csv, one row a level
 
@@ -319,9 +319,9 @@ def cmd_spectrum(cfg: dict) -> int:
     out = _out_dir(cfg, "spectrum")
     samples = run_experiment(exp)
     ensemble = ensemble_from_samples(samples, exp.width)
-    if not ensemble:
+    if len(ensemble) == 0:
         raise EmptyResultError("no accepted samples")
-    spec = spectrum(ensemble)
+    spec = spectrum(ensemble, exp.width)
     doc = {
         "size": spec.size,
         "width": spec.width,

@@ -1,10 +1,10 @@
 """Agreement variables and the pair-energy spectrum of sampled ensembles.
 
-For a pair of simulated/expected signals, the agreement vector is the
-:class:`BitVector` whose bit j is xi_j = 1 where the signals match and 0
-where they deviate; an ensemble is a sequence of them, indexed by list
-position.  Over an ensemble of P configurations the pair energy of
-configuration mu and bit components (i, j) is
+For a pair of simulated/expected signals, the agreement word holds xi_j = 1
+at bit j - 1 where the signals match and 0 where they deviate.  An ensemble
+of P configurations is a ``uint64`` array of such words plus their width N,
+indexed by position.  The pair energy of configuration mu and bit components
+(i, j) is
 
     E^mu_ij = -(1 / 2N) * sum_nu (xi^mu_i * xi^nu_j)^2
             = -(1 / 2N) * xi^mu_i * S_j,      S_j = sum_nu xi^nu_j,
@@ -19,69 +19,60 @@ complete when every manifold holds all C(N, k) distinct words.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .circuit import BitVector
+from .circuit import MAX_WIDTH, BitVector
 from .sampler import Samples
 
 #: Widest ensemble whose per-manifold completeness rows spectrum.json holds.
 MAX_COMPLETENESS_WIDTH = 16
 
 
+def _agreement(x, y, width: int):
+    """The agreement word of ints, or ``uint64`` arrays, x and y."""
+    return ~(x ^ y) & (1 << width) - 1
+
+
 def agreement_vector(simulated: BitVector, expected: BitVector) -> BitVector:
     """xi_j = 1 iff simulated and expected agree at position j."""
     if simulated.width != expected.width:
         raise ValueError(f"width mismatch: {simulated.width} vs {expected.width}")
-    return agreement_from_deviation(
-        simulated.value << 1, expected.value << 1, simulated.width
-    )
+    return BitVector(simulated.width, _agreement(simulated.value, expected.value, simulated.width))
 
 
-def agreement_from_deviation(re: int, im: int, width: int) -> BitVector:
-    """Agreement vector recovered from an encoded (re, im) deviation point."""
-    return BitVector(width, ~(re ^ im) >> 1 & ((1 << width) - 1))
+def ensemble_from_samples(samples: Samples, width: int) -> np.ndarray:
+    """Agreement words of the accepted samples, in sample order."""
+    return _agreement(samples.out[samples.accepted], samples.ref[samples.accepted], width)
 
 
-def ensemble_from_samples(samples: Samples, width: int) -> list[BitVector]:
-    """Agreement vectors of the accepted samples, in sample order.
-
-    Each word is :func:`agreement_from_deviation`'s, ``~(out ^ ref) & mask``
-    on the columns.
-    """
-    mask = np.uint64((1 << width) - 1)
-    words = ~(samples.out[samples.accepted] ^ samples.ref[samples.accepted]) & mask
-    return [BitVector(width, w) for w in words.tolist()]
-
-
-def _check_ensemble(ensemble: Sequence[BitVector]) -> int:
-    if not ensemble:
-        raise ValueError("ensemble is empty")
-    width = ensemble[0].width
-    if any(a.width != width for a in ensemble):
-        raise ValueError("width mismatch inside ensemble")
-    return width
+def _check(words, width: int, widest: int = MAX_WIDTH) -> np.ndarray:
+    """``words`` as a ``uint64`` array of agreement words of ``width`` bits."""
+    if not 1 <= width <= widest:
+        raise ValueError(f"width must be in [1, {widest}], got {width}")
+    words = np.asarray(words, dtype=np.uint64)
+    if int(words.max(initial=0)) >> width:
+        raise ValueError(f"agreement word {int(words.max())} does not fit in width {width}")
+    return words
 
 
-def _distinct_per_manifold(ensemble: Sequence[BitVector]) -> Counter:
-    """Number of distinct words of each agreement count k."""
-    return Counter(v.bit_count() for v in {a.value for a in ensemble})
+def _per_manifold(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numbers of words, and of distinct words, of each agreement count k = 0..width."""
+    distinct, counts = np.unique(words, return_counts=True)
+    ones = np.bitwise_count(distinct)
+    return np.bincount(ones, counts, width + 1), np.bincount(ones, minlength=width + 1)
 
 
-def pair_energy(
-    ensemble: Sequence[BitVector], mu: int, i: int, j: int
-) -> float:
+def pair_energy(words, width: int, mu: int, i: int, j: int) -> float:
     """Pair energy of configuration mu and components (i, j), 1-based i, j."""
-    width = _check_ensemble(ensemble)
-    if not 0 <= mu < len(ensemble):
-        raise ValueError(f"index mu={mu} out of range 0..{len(ensemble) - 1}")
+    words = _check(words, width)
+    if not 0 <= mu < len(words):
+        raise ValueError(f"index mu={mu} out of range 0..{len(words) - 1}")
     if not (1 <= i <= width and 1 <= j <= width):
         raise ValueError(f"index (i={i}, j={j}) out of range 1..{width}")
-    total = sum(a.bit(j) for a in ensemble)
-    return -(ensemble[mu].bit(i) * total) / (2 * width)
+    total = int(np.count_nonzero(words & np.uint64(1 << j - 1)))
+    return -(int(words[mu]) >> i - 1 & 1) * total / (2 * width)
 
 
 @dataclass(frozen=True)
@@ -110,22 +101,18 @@ class EnergySpectrum:
         return -self.size / (2 * self.width)
 
 
-def spectrum(ensemble: Sequence[BitVector]) -> EnergySpectrum:
+def spectrum(words, width: int) -> EnergySpectrum:
     """Group an ensemble into manifolds and summarize their pair energies."""
-    width = _check_ensemble(ensemble)
-    words = np.array([a.value for a in ensemble], dtype=np.uint64)
-    bits = words[:, None] >> np.arange(width, dtype=np.uint64)
-    bits &= 1
-    col_sums = bits.sum(axis=0)
-    sum_all = int(col_sums.sum())
-    max_col = int(col_sums.max())
-    min_col = int(col_sums.min())
+    words = _check(words, width)
+    if not len(words):
+        raise ValueError("ensemble is empty")
+    col_sums = [int(np.count_nonzero(words & np.uint64(1 << j))) for j in range(width)]
+    sum_all, max_col, min_col = sum(col_sums), max(col_sums), min(col_sums)
     denom = 2 * width
-    members = Counter(a.popcount() for a in ensemble)
-    distinct = _distinct_per_manifold(ensemble)
+    members, distinct = _per_manifold(words, width)
 
     manifolds: dict[int, ManifoldStats] = {}
-    for k in sorted(members):
+    for k in np.flatnonzero(members).tolist():
         if k == 0:
             min_e = max_e = mean_e = 0.0
         else:
@@ -134,13 +121,13 @@ def spectrum(ensemble: Sequence[BitVector]) -> EnergySpectrum:
             mean_e = -(k * sum_all) / (width * width * denom)
         manifolds[k] = ManifoldStats(
             agreement_count=k,
-            degeneracy=members[k],
-            distinct_patterns=distinct[k],
+            degeneracy=int(members[k]),
+            distinct_patterns=int(distinct[k]),
             min_energy=min_e,
             max_energy=max_e,
             mean_energy=mean_e,
         )
-    return EnergySpectrum(len(ensemble), width, manifolds)
+    return EnergySpectrum(len(words), width, manifolds)
 
 
 @dataclass(frozen=True)
@@ -164,24 +151,14 @@ class CompletenessReport:
         return all(m.complete for m in self.manifolds)
 
 
-def completeness_check(
-    width: int, ensemble: Sequence[BitVector]
-) -> CompletenessReport:
+def completeness_check(width: int, words) -> CompletenessReport:
     """Compare observed distinct words per manifold against C(N, k).
 
     Widths outside 1..MAX_COMPLETENESS_WIDTH raise ValueError.
     """
-    if not 1 <= width <= MAX_COMPLETENESS_WIDTH:
-        raise ValueError(
-            f"completeness width must be in [1, {MAX_COMPLETENESS_WIDTH}], got {width}"
-        )
-    if ensemble:
-        found = _check_ensemble(ensemble)
-        if found != width:
-            raise ValueError(f"width mismatch: ensemble has {found}, expected {width}")
-    distinct = _distinct_per_manifold(ensemble)
+    distinct = _per_manifold(_check(words, width, MAX_COMPLETENESS_WIDTH), width)[1]
     rows = tuple(
-        ManifoldCompleteness(k, distinct[k], math.comb(width, k))
+        ManifoldCompleteness(k, int(distinct[k]), math.comb(width, k))
         for k in range(width + 1)
     )
     return CompletenessReport(width, rows)

@@ -219,9 +219,12 @@ class Samples(Sequence):
         """The samples of ``rows``, which must share one level.
 
         Their re and im must be even and in 0..2**65 - 2, their iterations
-        in 0..2**63 - 1.  No rows give an empty level 0.0 labelled "".
+        in 0..2**63 - 1, their epsilon in [0, 1].  No rows give an empty
+        level 0.0 labelled "".
         """
         re, im, iterations, accepted, epsilon, label = tuple(zip(*rows)) or ((),) * 6
+        if bad := [e for e in epsilon if not 0.0 <= e <= 1.0]:
+            raise ValueError(f"epsilon out of range [0, 1]: {bad[0]}")
         if any(v & 1 or not 0 <= v < 1 << 65 for v in re + im):
             raise ValueError("a deviation point has even re and im in 0..2**65 - 2")
         if any(not 0 <= v < 1 << 63 for v in iterations):

@@ -25,7 +25,6 @@ from ganfault.analysis import (
     table1_row,
 )
 from ganfault.circuit import (
-    BitVector,
     Circuit,
     GateKind,
     identity_circuit,
@@ -217,18 +216,17 @@ def test_criterion_6_hopfield_properties():
             simplified = xi[:, :, None] * xi.sum(axis=0)[None, None, :]
             assert (quadratic == simplified).all()
             floor = -p / (2 * n)
-            ens = [BitVector.from_bits(int(b) for b in row) for row in xi]
+            words = (xi << np.arange(n)).sum(axis=1).astype(np.uint64)
             mu = rng.randrange(p)
             i = rng.randint(1, n)
             j = rng.randint(1, n)
-            e = pair_energy(ens, mu, i, j)
+            e = pair_energy(words, n, mu, i, j)
             assert floor <= e <= 0.0
             assert e == -quadratic[mu, i - 1, j - 1] / (2 * n)
 
         # Exhaustive width-4 ensemble: manifold degeneracies are the
         # binomial coefficients.
-        rows = [[(v >> b) & 1 for b in range(4)] for v in range(16)]
-        spec = spectrum([BitVector.from_bits(r) for r in rows])
+        spec = spectrum(np.arange(16, dtype=np.uint64), 4)
         assert [spec.manifolds[k].degeneracy for k in range(5)] == [1, 4, 6, 4, 1]
         assert [spec.manifolds[k].distinct_patterns for k in range(5)] == [1, 4, 6, 4, 1]
 

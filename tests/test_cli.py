@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from ganfault import analysis
-from ganfault.circuit import Circuit, GateKind, unary_layer
+from ganfault.circuit import BitVector, Circuit, GateKind, unary_layer
 from ganfault.cli import (
     MAX_BINS,
     MAX_CANVAS,
@@ -227,13 +227,16 @@ def test_spectrum_empty_result_exits_3(not8_ckt, tmp_path, capsys):
 
 def test_cli_runs_build_no_deviation_sample(not8_ckt, tmp_path, monkeypatch):
     # Every artifact is read off the sampler's columns: a row is built only
-    # when a caller reads one.
-    built = []
+    # when a caller reads one, and the spectrum reads agreement words, so no
+    # BitVector is built either.
+    built, vectors = [], []
     make, new = DeviationSample._make, DeviationSample.__new__
     monkeypatch.setattr(DeviationSample, "_make",
                         classmethod(lambda cls, fields: built.append(1) or make(fields)))
     monkeypatch.setattr(DeviationSample, "__new__",
                         lambda cls, *fields: built.append(1) or new(cls, *fields))
+    check = BitVector.__post_init__
+    monkeypatch.setattr(BitVector, "__post_init__", lambda v: vectors.append(1) or check(v))
     common = ["--ckt", str(not8_ckt), "--trials", "300", "--seed", "3",
               "--max-iterations", "50"]
     for argv in (
@@ -243,12 +246,14 @@ def test_cli_runs_build_no_deviation_sample(not8_ckt, tmp_path, monkeypatch):
         ["dataset", "--eps", "0.25", "--run", "a=", "--run", "b=reverse:L1.S1"],
     ):
         assert main(argv + common + ["--out", str(tmp_path / argv[0])]) == 0, argv
-    assert built == []
+    assert built == [] and vectors == []
     cfg = ExperimentConfig(circuit=Circuit(8, [unary_layer(GateKind.NOT, 8)]),
                            epsilon=0.25, trials=5, seed=3)
     assert len(list(run_experiment(cfg))) == 5
     DeviationSample(0, 0, 1, True, 0.0, "x")
     assert len(built) == 6  # the patches see rows built either way
+    BitVector(8, 1)
+    assert len(vectors) == 1
 
 
 def test_dataset_labels_and_reruns(not8_ckt, tmp_path):

@@ -29,6 +29,8 @@ def test_demo_runs(script):
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+    if script.name == "05_hopfield_spectrum.py":
+        assert done.stdout.splitlines()[-1] == "complete: True"
 
 
 def test_readme_quick_start_runs():

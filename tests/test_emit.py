@@ -74,6 +74,11 @@ def test_csv_deterministic_and_roundtrip(tmp_path):
     (["0,0.1,10,24,18446744073709551616,true,swap"], "iterations"),  # 2**64
     (["0,0.1,10,24,3,TRUE,swap"], "true or false"),
     (["0,0.1,10,24,3,yes,swap"], "true or false"),
+    (["0,nan,10,24,3,true,swap"], "epsilon out of range"),
+    (["0,nan,10,24,3,true,swap", "1,nan,10,24,3,true,swap"], "epsilon out of range"),
+    (["0,-3,10,24,3,true,swap"], "epsilon out of range"),
+    (["0,1.5,10,24,3,true,swap"], "epsilon out of range"),
+    (["0,inf,10,24,3,true,swap"], "epsilon out of range"),
 ])
 def test_csv_read_rejects_mixed_levels_and_points_out_of_range(tmp_path, rows, match):
     path = tmp_path / "s.csv"
