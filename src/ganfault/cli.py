@@ -207,9 +207,10 @@ def _require(cfg: dict, key: str, command: str):
 
 
 def _check_level_count(count) -> None:
+    # The count itself is not printed: a tiny step makes it absurd or inf.
     if count > MAX_GRID_LEVELS:
         raise ValueError(
-            f"grid holds {count} epsilon levels, more than {MAX_GRID_LEVELS}; "
+            f"grid holds more than {MAX_GRID_LEVELS} epsilon levels; "
             "the finest grid allowed over [0, 1] is 0:1:0.001"
         )
 

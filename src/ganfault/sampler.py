@@ -22,8 +22,23 @@ of trials at a time; the inputs and flip uniforms are read out of them
 exactly as numpy's ``integers`` and ``random`` would draw them, and flips,
 the unreachable-target screen, evaluation and the accept test run as
 arrays over the group, whose raw words are then dropped.  A trial leaves
-the pass once settled, so no trial continues on its own; :func:`run_trial`
-is the same loop on one generator.
+the pass once settled; :func:`run_trial` is the same loop on one generator.
+
+One kind of trial finishes on its own.  In this gate set a bijection is
+``x ^ C0``: a binary gate writes one bit to both positions of its pair, so
+no pair that holds one is injective, and unary gates only complement.  So
+in a target search without flip faults on a bijection (covering radius 0),
+a candidate lies at radius 0 exactly when its input is ``target ^ C0``.  A
+trial whose only open radius is 0 there leaves the group walk after its
+chunk and reads the rest of its stream alone (:func:`_walk_alone`),
+comparing raw input lanes with that preimage and evaluating nothing.
+Without flip uniforms between them, a stream's inputs follow each other
+word by word, so which word becomes which candidate does not depend on the
+chunk sizes, and the walk may draw in blocks of its own.  Width 64 is the
+exception, since a chunk assembles those inputs from n high halves and then
+n low halves; it keeps the group walk.  So do widths below 14, where a
+trial expects a hit within fewer inputs than one block of the walk holds
+and the group's next chunk settles it for less.
 
 One walk serves every uncertainty level of a sweep (:func:`run_levels`).
 Each level reuses trial t's stream, and its sample at accept radius K is
@@ -33,9 +48,10 @@ radius at its own first hit.  A trial's open radii are a contiguous range:
 a hit at distance d settles every open radius >= d, and the end of the
 budget censors the rest.  A group whose only open radius is 0 keeps the
 exact-match accept test, so the bulk draws at radius 0 pay nothing for the
-others.  :func:`run_experiment` and :func:`run_trial` are the one-radius
-case.  A settled trial is written into the run's columns (:func:`_columns`),
-one row per radius, and each level's result is its radius's row as a
+others; on a bijection its trials walk alone instead.  :func:`run_experiment`
+and :func:`run_trial` are the one-radius case.  A settled trial is written
+into the run's columns (:func:`_columns`), one row per radius, and each
+level's result is its radius's row as a
 :class:`Samples`, which holds the level's epsilon and label once: the
 columns are never turned into per-trial objects, levels that share a radius
 share them, and a level costs the same few objects at any trial count.
@@ -134,9 +150,10 @@ _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 # (:func:`_first_hits`).  Each word costs the pass about 50-70 ns, so above
 # this a trial's generator, about 4 us, is the cheaper way to its words.
 _FIRST_FLIP_WORDS = 32
-# Words one group of that pass computes.  Its uint64 temporaries then stay
-# at 64 KiB, which the allocator reuses; at 2**15 words each was mapped and
-# faulted in afresh (about 6000 page faults per ``andnot16-cli`` rep).
+# Words one group of that pass computes, and one block of a lone walk draws
+# (:func:`_walk_alone`).  Its uint64 temporaries then stay at 64 KiB, which
+# the allocator reuses; at 2**15 words each was mapped and faulted in afresh
+# (about 6000 page faults per ``andnot16-cli`` rep).
 _FIRST_GROUP_WORDS = 1 << 13
 # Where a run settles its trials (:func:`_columns`): one array per column,
 # one row per accept radius and one column per trial.  The output and
@@ -641,6 +658,42 @@ def _decode(
     return target, half, gs, flipped
 
 
+def _walk_alone(
+    rng: np.random.Generator, half: int | None, preimage: int, width: int, n: int
+) -> tuple[int, int]:
+    """The first of a trial's next ``n`` inputs equal to ``preimage``, or the n-th.
+
+    Returns its index among the n and its value.  The inputs are read as
+    :func:`_inputs` reads them, ``half`` (the buffered 32-bit half, or None)
+    first; without flip uniforms between them, no chunk boundary moves one
+    (see the module docstring).  They come in blocks of
+    ``_FIRST_GROUP_WORDS`` words from ``random_raw``, read in place as
+    32-bit halves (w <= 32) or words (33 <= w <= 63), shifted down in place
+    and compared with ``preimage``.  Width 64 is not read this way.
+    """
+    shift = _lane(width) - width
+    start = 0
+    if half is not None:
+        value = half >> shift
+        if value == preimage or n == 1:
+            return 0, value
+        start = 1
+    per_word = 64 // _lane(width)
+    while True:
+        words = min(_FIRST_GROUP_WORDS, -((start - n) // per_word))
+        raw = rng.bit_generator.random_raw(words)
+        lanes = raw.astype("<u8", copy=False).view("<u4") if width <= 32 else raw
+        if shift:
+            lanes >>= shift
+        hit = lanes[: n - start] == preimage
+        i = int(hit.argmax())
+        if hit[i]:
+            return start + i, preimage
+        start += len(hit)
+        if start == n:
+            return n - 1, int(lanes[len(hit) - 1])
+
+
 def _run_trials(
     cfg: ExperimentConfig,
     faulty: Circuit,
@@ -670,13 +723,24 @@ def _run_trials(
     A trial leaves once its range is empty, so each trial's stream is walked
     once for every radius.  Open trials have drawn the same chunks, so they
     share each chunk's layout; only the value of a buffered half differs,
-    and it is carried as an array.
+    and it is carried as an array.  In a target search without flips on a
+    bijection of 14 to 63 bits, a trial left with radius 0 alone (``lo`` 0,
+    ``hi`` 1) leaves after its chunk and finishes its stream in
+    :func:`_walk_alone`, which looks for the preimage ``target ^ C0``.
     """
     width, budget = cfg.width, cfg.max_iterations
     search = cfg.mode is ComparisonMode.TARGET_SEARCH
     limits = _flip_limits(perturbations(cfg.faults))
     ks = np.array(radii, dtype=np.uint8)
     screen = search and faulty.covering_radius > radii[0]
+    # A bijection is x ^ C0 here: a pair with a binary gate outputs (g, g).
+    # At radius 0 it accepts one draw in 2**width, so a trial walks alone
+    # only where it expects to read at least a block of inputs (w >= 14):
+    # a narrower one is settled sooner by the group's next chunk.
+    block = _FIRST_GROUP_WORDS * 64 // _lane(width)
+    alone = (search and not len(limits) and radii[0] == 0 and width < 64
+             and 1 << width >= block and faulty.covering_radius == 0)
+    c0 = faulty._form[1]
     shift = _lane(width) - width
     trials, targets, halves = np.array(list(rngs), dtype=np.intp), None, None
     lo, hi = np.zeros_like(trials), np.full_like(trials, len(radii))
@@ -749,6 +813,18 @@ def _run_trials(
                     re, im = modulated[rs, at], reference[rs, at]
                 _settle(cols, (js, ts[rs]), re >> shift, im >> shift, at + drawn + 1, ok)
                 ts, target, half, los, his = _take((ts, target, half, los, his), keep)
+            if alone and len(ts):
+                # Rows whose only open radius is 0 finish their streams alone.
+                solo = his == 1
+                for r in np.flatnonzero(solo).tolist():
+                    t, im = int(ts[r]), int(target[r]) >> shift
+                    held = None if half is None else int(half[r])
+                    at, value = _walk_alone(
+                        rngs[t], held, im ^ c0, width, budget - drawn - n
+                    )
+                    _settle(cols, (0, t), value ^ c0, im, drawn + n + at + 1,
+                            value ^ c0 == im)
+                ts, target, half, los, his = _take((ts, target, half, los, his), ~solo)
             kept.append((ts, target, half, los, his))
         if not kept:  # every target was screened out
             break
@@ -886,10 +962,13 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
     within the smallest radius, at every radius (:func:`_first_hits`).  It
     then builds a generator for each trial left open and walks its stream
     once, from its first word, in the chunk loop of :func:`_run_trials`,
-    for every radius at once.  Raw words are drawn and dropped a group at a
-    time, so a pass keeps only each open trial's generator, target,
-    buffered half and open radii.  Each level is its radius's row of the
-    columns with its own epsilon and label, held once (:func:`_level`):
+    for every radius at once; in a target search without flips on a
+    bijection of 14 to 63 bits, a trial left with radius 0 alone finishes
+    its stream by itself, comparing raw inputs with the target's preimage
+    (:func:`_walk_alone`).  Raw words are drawn and dropped a group
+    or a block at a time, so a pass keeps only each open trial's generator,
+    target, buffered half and open radii.  Each level is its radius's row of
+    the columns with its own epsilon and label, held once (:func:`_level`):
     levels that share a radius share that row's arrays, so the run holds
     25 B per trial and distinct radius, however many levels map to them.
     """

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import shutil
 import subprocess
@@ -484,14 +485,18 @@ def test_malformed_grid_range_names_the_part_at_fault(grid, message, not4_ckt,
     ("0:1:0.000999", 1002),
     (",".join(["0.5"] * 1002), 1002),
     ([0.5] * 1002, 1002),
+    ("0:1:5e-324", math.inf),  # the span overflows
+    pytest.param("0:1:1e-300", math.floor((1 + 1e-9) / 1e-300) + 1,
+                 id="0:1:1e-300-301-digits"),
 ])
 def test_grid_with_too_many_levels_exits_2(grid, count, not8_ckt, tmp_path, capsys):
+    # The message gives the bound, never the count, which can be inf.
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"ckt": str(not8_ckt), "seed": 1, "grid": grid}))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
-    assert f"grid holds {count} epsilon levels, more than {MAX_GRID_LEVELS}" in (
-        capsys.readouterr().err
-    )
+    err = capsys.readouterr().err
+    assert f"grid holds more than {MAX_GRID_LEVELS} epsilon levels" in err
+    assert str(count) not in err
 
 
 def test_finest_allowed_grid():

@@ -201,6 +201,30 @@ def _circuit(width: int, pairs: tuple[GateKind, ...] = ()) -> Circuit:
     return Circuit(width, layers)
 
 
+def _bijective_faults(width: int) -> tuple[tuple, ...]:
+    """Faults that leave :func:`_circuit` (NOT on every bit) a bijection.
+
+    Its map is then ``x ^ C0`` with C0 not all ones: a BUFFER replaces the
+    NOT on the first bit, or on the last, which at odd width is the
+    one-bit pair.
+    """
+    return (Missing(1, 1),), (Swap(1, width, GateKind.BUFFER),)
+
+
+def _walk_budgets(width: int) -> tuple[int, ...]:
+    """Budgets that end inside, on the edge of and after several blocks of a lone walk.
+
+    At radius 0, a target search on a bijection of 14..63 bits without
+    flips walks its stream alone after the first chunk of 8 inputs, in
+    blocks of ``_FIRST_GROUP_WORDS`` words: two inputs a word at w <= 32,
+    after the half the first chunk left buffered, one at 33 <= w <= 63.
+    Narrower and 64-bit trials keep the group walk on the same budgets.
+    """
+    lanes = sampler._FIRST_GROUP_WORDS * (2 if width <= 32 else 1)
+    edge = 8 + (width <= 32) + lanes
+    return edge - lanes // 3, edge, edge + 2 * lanes + 77
+
+
 def _first_hit_cases(width: int, **kwargs) -> list[ExperimentConfig]:
     """Runs in which, at epsilon 0.5, most trials accept their first candidate.
 
@@ -290,19 +314,27 @@ def test_run_experiment_equals_the_per_trial_loop(width):
     # Inputs are evaluated left-aligned in 32- or 64-bit lanes, so every
     # width puts each term of the circuits at a different offset; the
     # XOR/OR cases come after the others, which keep their epsilon,
-    # trials and seed.
+    # trials and seed.  Last come target searches on bijections whose
+    # constant term is not all ones, without flips, which from width 14 to
+    # 63 walk their streams alone after the first chunk; their budgets end
+    # inside the first block of that walk, on its edge and after several
+    # blocks.
     modes, flip_counts = ComparisonMode, (0, 1, 2)
     budgets = (1, 3, 8, 9, 70, 600, 5000)
     cases = [
-        *((pairs, mode, flips, budget) for mode, flips, budget, pairs
+        *((pairs, (), mode, flips, budget) for mode, flips, budget, pairs
           in itertools.product(modes, flip_counts, budgets, ((), _AND))),
-        *itertools.product((_XOR_OR,), modes, flip_counts, budgets),
+        *((_XOR_OR, (), mode, flips, budget)
+          for mode, flips, budget in itertools.product(modes, flip_counts, budgets)),
+        *(((), fault, ComparisonMode.TARGET_SEARCH, 0, budget)
+          for fault, budget in itertools.product(_bijective_faults(width),
+                                                 _walk_budgets(width))),
     ]
-    screened = 0
-    for i, (pairs, mode, flips, budget) in enumerate(cases):
+    screened, outcomes = 0, set()
+    for i, (pairs, fault, mode, flips, budget) in enumerate(cases):
         cfg = _config(
             circuit=_circuit(width, pairs),
-            faults=(InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
+            faults=fault + (InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
             mode=mode,
             epsilon=(0.0, 0.1, 0.25)[i % 3] if pairs else 0.0,
             trials=(1, 7, 12)[i % 3],
@@ -315,11 +347,16 @@ def test_run_experiment_equals_the_per_trial_loop(width):
             and faulty.covering_radius > max_acceptable_distance(width, cfg.epsilon)
         )
         expected = _per_trial(cfg)
-        assert run_experiment(cfg) == expected, (mode, flips, budget, pairs)
+        assert run_experiment(cfg) == expected, (mode, cfg.faults, budget, pairs)
         alone = [run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
                  for t in range(cfg.trials)]
-        assert alone == expected, (mode, flips, budget, pairs)
+        assert alone == expected, (mode, cfg.faults, budget, pairs)
+        if fault:
+            edge = _walk_budgets(width)[1]
+            outcomes.update((s.accepted, s.iterations > edge) for s in expected)
     assert screened > 0 or width == 1
+    if width in (15, 16):  # hits and censored trials on either side of the edge
+        assert len(outcomes) == 4, outcomes
     if width in (16, 32, 33, 64):
         for cfg in _first_hit_cases(width, epsilon=0.5, trials=40, seed=2**64 + width):
             assert run_experiment(cfg) == _per_trial(cfg), (cfg.mode, cfg.faults)
@@ -334,14 +371,22 @@ def test_a_sweep_equals_one_experiment_per_level(width):
     # their nearest output's distance, next to bijections.  The default
     # grid maps several levels to one radius at every width up to 19, and
     # the three-level grids check a radius that no other level shares.
+    # Last come target searches on bijections without flips, whose trials
+    # walk their streams alone once radius 0 is their only open one (widths
+    # 14 to 63); these levels are checked against the per-trial loop too.
     grids = (DEFAULT_EPSILON_GRID, (0.0, 0.1, 0.2), (0.05, 0.3, 0.75))
-    cases = itertools.product(
-        ComparisonMode, (0, 1, 2), (1, 9, 600, 5000), ((), _AND, _XOR_OR)
-    )
-    for i, (mode, flips, budget, pairs) in enumerate(cases):
+    cases = [
+        *((pairs, (), mode, flips, budget) for mode, flips, budget, pairs
+          in itertools.product(ComparisonMode, (0, 1, 2), (1, 9, 600, 5000),
+                               ((), _AND, _XOR_OR))),
+        *(((), fault, ComparisonMode.TARGET_SEARCH, 0, budget)
+          for fault, budget in itertools.product(_bijective_faults(width),
+                                                 _walk_budgets(width)[1:])),
+    ]
+    for i, (pairs, fault, mode, flips, budget) in enumerate(cases):
         cfg = _config(
             circuit=_circuit(width, pairs),
-            faults=(InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
+            faults=fault + (InputPerturbation(0.05), InputPerturbation(0.3))[:flips],
             mode=mode,
             trials=(3, 8, 5)[i % 3],
             seed=(width, 2**64 + width, 2**70 + 3)[i % 3],
@@ -351,7 +396,9 @@ def test_a_sweep_equals_one_experiment_per_level(width):
         sweep = run_sweep(cfg, grid)
         for eps, point in zip(grid, sweep.points):
             expected = run_experiment(replace(cfg, epsilon=eps))
-            assert point.samples == expected, (mode, flips, budget, pairs, eps)
+            assert point.samples == expected, (mode, cfg.faults, budget, pairs, eps)
+            if fault:
+                assert expected == _per_trial(replace(cfg, epsilon=eps)), (fault, eps)
     if width in (16, 32, 33, 64):
         grid = (0.375, 0.5)
         for cfg in _first_hit_cases(width, trials=40, seed=2**64 + width):
@@ -503,27 +550,41 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
         trials=12,
         max_iterations=20,
     )
-    issued, chunks, second = {}, {}, {}
+    # Without flips the target search's map is a bijection, so from width
+    # 14 its open trials walk the rest of their streams alone
+    # (``_walk_alone``) instead of drawing chunk two; the walk must start
+    # from the same state and half.
+    issued, chunks, second, walked = {}, {}, {}, set()
 
     def tracking(seed, trial):
         rng = trial_rng(seed, trial)
         issued[id(rng)] = trial, rng  # holding rng keeps its id unique
         return rng
 
+    def enter(rng, half):
+        t = issued[id(rng)][0]
+        chunks[t] = chunks.get(t, 0) + 1
+        if chunks[t] == 2:
+            second[t] = rng.bit_generator.state["state"], half
+        return t
+
     def capturing(rngs, calls, width, n, limits, target, half):
         for row, rng in enumerate(rngs):
-            t = issued[id(rng)][0]
-            chunks[t] = chunks.get(t, 0) + 1
-            if chunks[t] == 2:
-                buffered = None if half is None else int(half[row])
-                second[t] = rng.bit_generator.state["state"], buffered
+            enter(rng, None if half is None else int(half[row]))
         return draw(rngs, calls, width, n, limits, target, half)
 
-    draw = sampler._draw
+    def walking(rng, half, preimage, width, n):
+        walked.add(enter(rng, half))
+        return walk(rng, half, preimage, width, n)
+
+    draw, walk = sampler._draw, sampler._walk_alone
     monkeypatch.setattr(sampler, "trial_rng", tracking)
     monkeypatch.setattr(sampler, "_draw", capturing)
+    monkeypatch.setattr(sampler, "_walk_alone", walking)
     assert run_experiment(cfg) == _per_trial(cfg)
     assert second
+    walks = mode is ComparisonMode.TARGET_SEARCH and not flips and width >= 14
+    assert walked == (set(second) if walks else set())
     for t, (state, half) in second.items():
         rng = trial_rng(cfg.seed, t)
         if mode is ComparisonMode.TARGET_SEARCH:
@@ -539,7 +600,47 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
         assert half == (want["uinteger"] if buffered else None), t
 
 
-@pytest.mark.parametrize("trials, budget", [(300, 100), (2, 20_000), (1100, 8)])
+def test_only_radius_0_target_searches_on_bijections_walk_alone(monkeypatch):
+    # A trial walks alone only at radius 0, in a target search without
+    # flips, on a bijection of 14 to 63 bits, where a hit takes at least a
+    # block of the walk.  Each case below misses one condition, and the
+    # andnot16 sweep of the benchmark all but the radius, so none may enter
+    # the walk; the not16 sweep does.
+    def refused(*args):
+        raise AssertionError("entered _walk_alone")
+
+    not16 = _config(
+        circuit=_circuit(16),
+        faults=(Swap(1, 1, GateKind.BUFFER),),
+        mode=ComparisonMode.TARGET_SEARCH,
+        trials=20,
+        max_iterations=20_000,
+    )
+    andnot16 = replace(
+        not16,
+        circuit=Circuit(16, [pair_layer(GateKind.AND, 16), unary_layer(GateKind.NOT, 16)]),
+        faults=(ReversedPolarity(1, 1),),
+    )
+    cases = (
+        replace(not16, circuit=_circuit(16, _AND), faults=(Missing(2, 1),)),  # lossy
+        replace(not16, faults=(*not16.faults, InputPerturbation(0.05))),
+        replace(not16, mode=ComparisonMode.FAULT_COMPARE),
+        replace(not16, circuit=_circuit(64), faults=(Missing(1, 1),)),
+        replace(not16, circuit=_circuit(13), faults=(Missing(1, 1),)),
+        andnot16,
+    )
+    grid = DEFAULT_EPSILON_GRID
+    with monkeypatch.context() as m:
+        m.setattr(sampler, "_walk_alone", refused)
+        for cfg in cases:
+            sampler.run_levels(cfg, grid)
+        with pytest.raises(AssertionError, match="_walk_alone"):
+            sampler.run_levels(not16, grid)
+
+
+@pytest.mark.parametrize(
+    "trials, budget", [(300, 100), (2, 20_000), (1100, 8), (3, 1_100_000)]
+)
 def test_a_pass_never_holds_a_huge_allocation(trials, budget):
     # 64 flip faults at width 64 draw 32 776 words per trial in round one.
     # No trial accepts, so at budget 20 000 the trials reach chunks of
@@ -549,12 +650,18 @@ def test_a_pass_never_holds_a_huge_allocation(trials, budget):
     # come in calls of 512 candidates of one fault.  A pass keeps only each
     # trial's generator, target and buffered half: 1100 trials fill one
     # seed block of 1024 generators, about 750 B each, and start another.
+    # The budget of over a million is an epsilon-0 target search on a
+    # 31-bit bijection, whose trials walk their streams alone after the
+    # first chunk: every block of that walk is dropped before the next.
     cfg = _config(
         circuit=identity_circuit(64),
         faults=(InputPerturbation(0.01),) * 64,
         trials=trials,
         max_iterations=budget,
     )
+    if budget > 10**6:
+        cfg = replace(cfg, circuit=_circuit(31), faults=(Missing(1, 1),),
+                      mode=ComparisonMode.TARGET_SEARCH)
     tracemalloc.start()
     try:
         samples = run_experiment(cfg)
