@@ -22,7 +22,6 @@ import io
 import json
 import re
 from dataclasses import asdict, astuple, dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -64,12 +63,20 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
 
 
 def samples_to_csv(samples: Samples) -> str:
-    """One row per sample, read off the columns; every row repeats the level."""
+    """One row per sample, read off the columns; every row repeats the level.
+
+    The text is ``csv_text(CSV_HEADER, rows)``.  Only the epsilon and label
+    cells are the same in every row, and only the label can need quoting,
+    so the csv module renders those two once, and each row is one ``%``
+    format of the int cells around them.
+    """
+    level = csv_text((samples.epsilon, samples.label), ())[:-1].replace("%", "%%")
+    epsilon, label = level.split(",", 1)  # a float's cell holds no comma
+    row = f"%d,{epsilon},%d,%d,%d,%s,{label}\n"
     accepted = ["true" if a else "false" for a in samples.accepted.tolist()]
-    return csv_text(CSV_HEADER, zip(
-        range(len(samples)), repeat(samples.epsilon), samples.re, samples.im,
-        samples.iterations.tolist(), accepted, repeat(samples.label),
-    ))
+    return csv_text(CSV_HEADER, ()) + "".join([row % cells for cells in zip(
+        range(len(samples)), samples.re, samples.im, samples.iterations.tolist(), accepted,
+    )])
 
 
 def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
@@ -171,28 +178,28 @@ def histogram_counts(samples: Samples, width: int, bins: int = 64) -> np.ndarray
     Row index runs over re, column index over im, both ascending; the sum
     of counts equals the number of accepted samples.  A point's cell is
     ``re * bins // limit`` in Python ints: re * bins passes 2**64 at
-    width 64.
+    width 64.  The cells are then counted by one ``np.bincount``.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     limit = full_scale(width) + 1
-    r, c = ([2 * bins * v // limit for v in col[samples.accepted].tolist()]
-            for col in (samples.out, samples.ref))
-    counts = np.zeros((bins, bins), dtype=np.int64)
-    np.add.at(counts, (r, c), 1)
-    return counts
+    out, ref = (col[samples.accepted].tolist() for col in (samples.out, samples.ref))
+    cells = [2 * bins * o // limit * bins + 2 * bins * f // limit for o, f in zip(out, ref)]
+    return np.bincount(cells, minlength=bins * bins).reshape(bins, bins)
 
 
 def counts_to_pgm(counts: np.ndarray) -> str:
     """Plain-text PGM (P2, maxval 255) of a count grid, max-normalized.
 
     The top raster row holds the highest re bin so the identity diagonal
-    rises from the bottom-left corner.
+    rises from the bottom-left corner.  A cell is ``count * 255 // peak``,
+    in int64: exact for counts below 2**55.
     """
     peak = max(int(counts.max()), 1)  # an all-zero grid stays zero
     rows, cols = counts.shape
     lines = ["P2", f"{cols} {rows}", "255"]
-    lines += (" ".join(str(int(c) * 255 // peak) for c in row) for row in counts[::-1])
+    scaled = counts[::-1].astype(np.int64) * 255 // peak
+    lines += (" ".join(map(str, row)) for row in scaled.tolist())
     return "\n".join(lines) + "\n"
 
 

@@ -59,14 +59,15 @@ A :class:`DeviationSample` is built only when a caller reads a row.
 
 Most trials of a high-epsilon run accept their first candidate, so a pass
 first settles those without a generator (:func:`_first_hits`).  numpy's
-PCG64 seeding, jump-ahead and XSL-RR output are reproduced as uint64 arrays
-(:func:`_stream_words`), next to ``SeedSequence``'s derivation of the seed
-words, and give the words the first candidate reads straight from the seed
-words.  A trial whose first candidate lies within the smallest radius is
-settled there at every radius; only the trials left open get a generator
-and walk the chunk loop from their first word.  The pass is skipped when a
-candidate draws more than ``_FIRST_FLIP_WORDS`` flip uniforms, which cost
-more to compute this way than the generator they would save.
+PCG64 seeding, stepping, jump-ahead and XSL-RR output are reproduced as
+uint64 arrays (:func:`_stream_words`), next to ``SeedSequence``'s
+derivation of the seed words, and give the words the first candidate reads
+straight from the seed words: the pass's 8192 streams step together, one
+128-bit product per word, from each word it reads to the next.  A trial
+whose first candidate lies within the smallest radius is settled there at
+every radius; only the trials left open get a generator and walk the chunk
+loop from their first word.  The pass is skipped when a candidate draws
+more than ``_FIRST_FLIP_WORDS`` flip uniforms.
 
 Inputs narrower than 64 bits are not decoded.  An input of w <= 32 bits
 is the top w bits of a 32-bit half of a raw word, one of 33..63 bits the
@@ -127,10 +128,17 @@ _CHUNK_MAX = 8192
 _FLIP_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 # Trials whose seed words one vectorised call derives, and the trials of
-# one pass of :func:`run_experiment`.  A power of two below 2**32, so a
-# block never straddles a multiple of 2**32: only the lowest word of its
-# spawn keys varies.
-_SEED_BLOCK = 1024
+# one pass of :func:`run_levels`.  A power of two below 2**32, so a block
+# never straddles a multiple of 2**32: only the lowest word of its spawn
+# keys varies.  The first-candidate pass steps its streams together as
+# uint64 columns of this many rows (:func:`_stream_words`), 64 KiB each.
+# Stepping pays only on wide columns: 10 000 trials of 17 words (width 16,
+# one flip fault) took 4.1 ms in columns of 8192 rows, 10.5 ms of 1024 and
+# 16.7 ms of 481, against 11.8 ms for jumping to each word 481 rows at a
+# time (numpy 2.4.6, a shared 2-core host).  Seed words cost about 75 ns a
+# trial in blocks of 8192, 200 ns in blocks of 1024.  A pass builds a
+# generator, about 750 B, for each trial it leaves open.
+_SEED_BLOCK = 1 << 13
 # Raw words one group of trials holds at a time, in one ``random_raw`` call
 # or in its two arrays of candidates (:func:`_layout`).
 _GROUP_WORDS = 1 << 15
@@ -147,10 +155,15 @@ _MASK32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 # Flip uniforms one candidate may draw for the first-candidate pass to run
-# (:func:`_first_hits`).  Each word costs the pass about 50-70 ns, so above
-# this a trial's generator, about 4 us, is the cheaper way to its words.
+# (:func:`_first_hits`).  Stepped, a word costs the pass about 35 ns, and a
+# trial the pass settles saves its generator and first chunk, 10-16 us: on
+# identity circuits at epsilon 1 (every trial settled by the pass, 8192
+# trials) the pass took 0.8 us a trial at width 16 with one flip fault,
+# 1.4 us at 32 words and 2.5 us at 64, and still beat the generator at 256
+# words (6.6 against 19 us).  The bound holds the pass's stepped words,
+# 64 KiB each, near 2 MB; when few trials hit, both are spent for nothing.
 _FIRST_FLIP_WORDS = 32
-# Words one group of that pass computes, and one block of a lone walk draws
+# Words one group of that pass decodes, and one block of a lone walk draws
 # (:func:`_walk_alone`).  Its uint64 temporaries then stay at 64 KiB, which
 # the allocator reuses; at 2**15 words each was mapped and faulted in afresh
 # (about 6000 page faults per ``andnot16-cli`` rep).
@@ -380,7 +393,7 @@ def _seed_words(seed: int, block: int) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * np.uint32(hash_const)
         state[:, i] = value ^ (value >> 16)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words = state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     words.flags.writeable = False
     return words
 
@@ -417,72 +430,112 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(words))
 
 
-def _limbs(values: list[int]) -> tuple[np.ndarray, ...]:
-    """128-bit constants as :func:`_mul128` takes them.
+def _limbs(value: int) -> tuple[np.uint64, ...]:
+    """A 128-bit constant as :func:`_mul128` takes it.
 
-    Returns their high words, their low words and the low words' 32-bit
-    halves, low half first, as uint64 arrays.
+    Returns its high word, its low word and the low word's 32-bit halves,
+    low half first.
     """
-    hi, lo = (np.array([v >> s & _MASK64 for v in values], dtype=np.uint64)
-              for s in (64, 0))
-    return hi, lo, lo & _MASK32, lo >> 32
+    hi, lo = value >> 64 & _MASK64, value & _MASK64
+    return tuple(np.uint64(v) for v in (hi, lo, lo & _MASK32, lo >> 32))
+
+
+_PCG_STEP = _limbs(_PCG_MULT)
 
 
 @functools.lru_cache(maxsize=64)
-def _jumps(index: tuple[int, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
-    """The multiplier A and increment factor C of each stream word in ``index``.
+def _jump(k: int) -> tuple[tuple[np.uint64, ...], tuple[np.uint64, ...]]:
+    """The multiplier A and increment factor C of stream word ``k``.
 
     PCG64 seeding steps a zero state once, adds the seed state and steps
     again, and each draw steps once before its output.  So with x the seed
-    state plus the increment, word k is the output of the state ``A * x +
-    C * inc`` (mod 2**128), where ``A = M**(k+2)`` and ``C = 1 + M + ... +
-    M**(k+1)``.  Both are returned as :func:`_limbs`.
+    state plus the increment, word k is the output of x stepped k + 2 times
+    (``s <- M * s + inc``), the state ``A * x + C * inc`` (mod 2**128),
+    where ``A = M**(k+2)`` and ``C = 1 + M + ... + M**(k+1)``.  Both are
+    returned as :func:`_limbs`.
     """
-    steps = {k + 2 for k in index}
-    a, c, at = 1, 0, {}
-    for step in range(max(steps) + 1):
-        if step in steps:
-            at[step] = a, c
+    a, c = 1, 0
+    for _ in range(k + 2):
         a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-    return tuple(_limbs([at[k + 2][i] for k in index]) for i in (0, 1))
+    return _limbs(a), _limbs(c)
 
 
-def _mul128(k: tuple[np.ndarray, ...], hi: np.ndarray, lo: np.ndarray):
-    """``k * (hi, lo)`` mod 2**128 as (high, low) words; ``k`` is :func:`_limbs`.
+def _mul128(k: tuple[np.uint64, ...], hi: np.ndarray, lo: np.ndarray, scratch) -> None:
+    """Set ``(hi, lo)`` to ``k * (hi, lo)`` mod 2**128, in place; ``k`` is :func:`_limbs`.
 
     numpy multiplies uint64 mod 2**64, so only the high word of the low
-    words' product is assembled from 32-bit halves.
+    words' product is assembled from 32-bit halves, in partial sums that
+    stay below 2**64.  ``scratch`` is three arrays shaped as ``hi``.
     """
     k_hi, k_lo, k0, k1 = k
-    x0, x1 = lo & _MASK32, lo >> 32
-    p00, p01, p10, p11 = k0 * x0, k0 * x1, k1 * x0, k1 * x1
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = p11 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return carry + k_lo * hi + k_hi * lo, k_lo * lo
+    x0, x1, t = scratch
+    np.bitwise_and(lo, _MASK32, out=x0)
+    np.right_shift(lo, 32, out=x1)
+    hi *= k_lo
+    hi += np.multiply(lo, k_hi, out=t)
+    lo *= k_lo
+    np.multiply(x0, k0, out=t)
+    t >>= 32
+    t += np.multiply(x0, k1, out=x0)
+    hi += np.right_shift(t, 32, out=x0)
+    t &= _MASK32
+    t += np.multiply(x1, k0, out=x0)
+    t >>= 32
+    hi += t
+    hi += np.multiply(x1, k1, out=x1)
+
+
+def _add128(hi: np.ndarray, lo: np.ndarray, add_hi, add_lo) -> None:
+    """Add ``(add_hi, add_lo)`` to ``(hi, lo)`` mod 2**128, in place."""
+    lo += add_lo
+    hi += add_hi
+    hi += lo < add_lo
 
 
 def _stream_words(seeds: np.ndarray, index: tuple[int, ...]) -> np.ndarray:
     """Words ``index`` of each PCG64 stream, as ``random_raw`` draws them.
 
     Row r of ``seeds`` holds one stream's four seed words (:func:`_seed_words`);
-    row r of the result holds that stream's words at the stream indices
-    ``index``.  As numpy's ``PCG64`` does, the first two seed words are the
-    state's high and low word and the last two give the increment ``(seq <<
-    1) | 1``; each state jumps ahead to its words (:func:`_jumps`), and the
-    output is XSL-RR: the state's two words XORed, rotated right by its top
-    six bits.
+    row r of the result holds that stream's words at the ascending stream
+    indices ``index``.  As numpy's ``PCG64`` does, the first two seed words
+    are the state's high and low word and the last two give the increment
+    ``(seq << 1) | 1``.  The states advance together, one uint64 column per
+    word of the state: from x (:func:`_jump`) to each word by stepping in
+    place, one product by the constant M a step, or, where the next word
+    is more than two steps on, by a jump from x, which takes two products.
+    The output is XSL-RR: the state's two words XORed, rotated right by its
+    top six bits.
     """
-    a, c = _jumps(index)
-    s_hi, s_lo, q_hi, q_lo = (seeds[:, i, None] for i in range(4))
+    s_hi, s_lo, q_hi, q_lo = (seeds[:, i] for i in range(4))
     inc_hi, inc_lo = (q_hi << 1) | (q_lo >> 63), (q_lo << 1) | 1
     x_lo = s_lo + inc_lo
     x_hi = s_hi + inc_hi + (x_lo < s_lo)
-    ax_hi, ax_lo = _mul128(a, x_hi, x_lo)
-    ci_hi, ci_lo = _mul128(c, inc_hi, inc_lo)
-    lo = ax_lo + ci_lo
-    hi = ax_hi + ci_hi + (lo < ax_lo)
-    value, rot = hi ^ lo, hi >> 58
-    return (value >> rot) | (value << ((64 - rot) & 63))
+    hi, lo, at = x_hi.copy(), x_lo.copy(), -2
+    scratch = [np.empty_like(lo) for _ in range(3)]
+    rot, right = scratch[:2]
+    words = np.empty((len(index), len(seeds)), dtype=np.uint64)
+    for word, k in zip(words, index):
+        if k - at > 2:
+            a, c = _jump(k)
+            np.copyto(hi, x_hi)
+            np.copyto(lo, x_lo)
+            _mul128(a, hi, lo, scratch)
+            c_hi, c_lo = inc_hi.copy(), inc_lo.copy()
+            _mul128(c, c_hi, c_lo, scratch)
+            _add128(hi, lo, c_hi, c_lo)
+        else:
+            for _ in range(k - at):
+                _mul128(_PCG_STEP, hi, lo, scratch)
+                _add128(hi, lo, inc_hi, inc_lo)
+        at = k
+        np.bitwise_xor(hi, lo, out=word)
+        np.right_shift(hi, 58, out=rot)
+        np.right_shift(word, rot, out=right)
+        np.subtract(64, rot, out=rot)
+        rot &= 63
+        word <<= rot
+        word |= right
+    return words.T
 
 
 def _flip_limits(probs: Sequence[float]) -> np.ndarray:
@@ -889,15 +942,16 @@ def _first_hits(
     """Settle the trials whose first candidate lies within ``radius`` of its reference.
 
     Row r of ``seeds`` holds the seed words (:func:`_seed_words`) of the
-    trial in column r of ``cols`` (:func:`_columns`).  The words the first
-    candidate reads (:func:`_first_layout`) are computed from them
-    (:func:`_stream_words`), a group of trials at a time, and decoded,
-    flipped and evaluated as the chunk loop would, left-aligned in their
-    lanes.  ``radius`` is the smallest of the rows' radii, so a hit settles
-    its column in every row, after one iteration, accepted.  Returns which
-    trials hit.  None hits when a candidate draws more than
-    ``_FIRST_FLIP_WORDS`` flip uniforms: those trials' generators reach
-    their words sooner.
+    trial in column r of ``cols`` (:func:`_columns`), at most a seed block
+    of them.  The words the first candidate reads (:func:`_first_layout`)
+    are computed from them for every row at once, by stepping the streams
+    together (:func:`_stream_words`).  They are then decoded, flipped and
+    evaluated as the chunk loop would, left-aligned in their lanes, a group
+    of ``_FIRST_GROUP_WORDS`` words at a time, so that the decode's
+    temporaries stay small.  ``radius`` is the smallest of the rows' radii,
+    so a hit settles its column in every row, after one iteration,
+    accepted.  Returns which trials hit.  None hits when a candidate draws
+    more than ``_FIRST_FLIP_WORDS`` flip uniforms.
     """
     width, search = cfg.width, cfg.mode is ComparisonMode.TARGET_SEARCH
     limits = _flip_limits(perturbations(cfg.faults))
@@ -906,12 +960,13 @@ def _first_hits(
     n = min(_CHUNK_FIRST, cfg.max_iterations)
     index, pos, calls = _first_layout(width, n, len(limits), search)
     shift = _lane(width) - width
+    words = _stream_words(seeds, index)
     rows = _FIRST_GROUP_WORDS // len(index)
     hits = []
     for g in range(0, len(seeds), rows):
-        group = seeds[g : g + rows]
+        group = words[g : g + rows]
         raw = np.zeros((len(group), calls[0][0]), dtype=np.uint64)
-        raw[:, pos] = _stream_words(group, index)
+        raw[:, pos] = group
         target, _, gs, flipped = _decode((raw,), calls, width, n, limits, None, None)
         re = faulty.evaluate_batch(flipped[:, 0], shift)
         im = target if search else ideal.evaluate_batch(gs[:, 0], shift)
@@ -957,17 +1012,18 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
     ``cfg.epsilon`` itself is not used.  Every level is validated before
     the first draw.  Trials settle into the run's columns
     (:func:`_columns`), one row per distinct accept radius, in passes of
-    one aligned seed block (:data:`_SEED_BLOCK`).  A pass first settles,
-    from the block's seed words, every trial whose first candidate lies
-    within the smallest radius, at every radius (:func:`_first_hits`).  It
-    then builds a generator for each trial left open and walks its stream
-    once, from its first word, in the chunk loop of :func:`_run_trials`,
-    for every radius at once; in a target search without flips on a
-    bijection of 14 to 63 bits, a trial left with radius 0 alone finishes
-    its stream by itself, comparing raw inputs with the target's preimage
-    (:func:`_walk_alone`).  Raw words are drawn and dropped a group
-    or a block at a time, so a pass keeps only each open trial's generator,
-    target, buffered half and open radii.  Each level is its radius's row of
+    one aligned seed block of 8192 trials (:data:`_SEED_BLOCK`).  A pass
+    first settles, from the block's seed words, every trial whose first
+    candidate lies within the smallest radius, at every radius: its 8192
+    streams step together through the words that candidate reads
+    (:func:`_first_hits`).  It then builds a generator for each trial left
+    open and walks its stream once, from its first word, in the chunk loop
+    of :func:`_run_trials`, for every radius at once; in a target search
+    without flips on a bijection of 14 to 63 bits, a trial left with
+    radius 0 alone finishes its stream by itself, comparing raw inputs with
+    the target's preimage (:func:`_walk_alone`).  Raw words are drawn and
+    dropped a group or a block at a time, so a pass keeps only each open
+    trial's generator, target, buffered half and open radii.  Each level is its radius's row of
     the columns with its own epsilon and label, held once (:func:`_level`):
     levels that share a radius share that row's arrays, so the run holds
     25 B per trial and distinct radius, however many levels map to them.
@@ -983,8 +1039,10 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
         seeds = _seed_words(cfg.seed, start // _SEED_BLOCK)[: cfg.trials - start]
         block = {name: c[:, start : start + len(seeds)] for name, c in cols.items()}
         hit = _first_hits(cfg, faulty, ideal, seeds, radii[0], block)
-        rngs = {r: trial_rng(cfg.seed, start + r) for r in np.flatnonzero(~hit).tolist()}
-        _run_trials(cfg, faulty, ideal, rngs, radii, block)
+        # A pass's generators are dropped before the next pass builds its own.
+        _run_trials(cfg, faulty, ideal, {
+            r: trial_rng(cfg.seed, start + r) for r in np.flatnonzero(~hit).tolist()
+        }, radii, block)
     label = cfg.resolved_label()
     return [_level(cols, radii.index(k), eps, label) for eps, k in zip(epsilons, ks)]
 

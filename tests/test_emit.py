@@ -9,8 +9,10 @@ import pytest
 
 from ganfault.circuit import Circuit, GateKind, identity_circuit, unary_layer
 from ganfault.emit import (
+    CSV_HEADER,
     DatasetManifest,
     counts_to_pgm,
+    csv_text,
     emit_dataset,
     histogram_counts,
     read_samples_csv,
@@ -188,6 +190,60 @@ def test_columns_give_todays_cells_coordinates_and_csv_at_every_width(width):
         f"{t},0.5,{2 * o},{2 * r},{t + 1},{'true' if a else 'false'},edge"
         for t, (o, r, a) in enumerate(zip(outs, refs, accepted))
     ]
+
+
+def _random_level(width: int, n: int, epsilon: float, label: str, seed: int) -> Samples:
+    """``n`` samples of random outputs up to 2**width - 1, about a fifth censored."""
+    rng = random.Random(seed)
+    top = (1 << width) - 1
+    outs = [rng.choice((0, top, rng.randint(0, top))) for _ in range(n)]
+    refs = [rng.choice((0, top, rng.randint(0, top))) for _ in range(n)]
+    return Samples(
+        np.array(outs, dtype=np.uint64), np.array(refs, dtype=np.uint64),
+        np.array([rng.randrange(1, 2**63) for _ in range(n)], dtype=np.int64),
+        np.array([rng.random() > 0.2 for _ in range(n)]), epsilon, label,
+    )
+
+
+@pytest.mark.parametrize("label", ["swap", "", "missing:L1.S1,flip:0.5", 'say "hi"',
+                                   "two\nlines", "cr\rlf", "100%", "%d %s %%", "{}", "{0}"])
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 1e-05, 1.0])
+def test_samples_csv_is_the_csv_text_of_its_rows(epsilon, label):
+    for width, n in ((64, 50), (16, 7), (4, 0)):
+        samples = _random_level(width, n, epsilon, label, seed=width)
+        if n:
+            assert max(samples.re) == 2**65 - 2 or width < 64
+        rows = [(t, s.epsilon, s.re, s.im, s.iterations, "true" if s.accepted else "false",
+                 s.label) for t, s in enumerate(samples)]
+        assert samples_to_csv(samples) == csv_text(CSV_HEADER, rows), (width, n)
+
+
+@pytest.mark.parametrize("width", [1, 16, 53, 64])
+def test_histogram_counts_each_accepted_point_in_its_cell(width):
+    bins, limit = 64, (1 << (width + 1)) - 1
+    samples = _random_level(width, 3000, 0.5, "x", seed=width)
+    want = np.zeros((bins, bins), dtype=np.int64)
+    for s in samples:
+        if s.accepted:
+            want[s.re * bins // limit, s.im * bins // limit] += 1
+    counts = histogram_counts(samples, width, bins)
+    assert counts.dtype == np.int64 and counts.shape == (bins, bins)
+    assert np.array_equal(counts, want)
+    assert np.array_equal(histogram_counts(samples, width, 1), [[samples.accepted.sum()]])
+
+
+def test_pgm_cells_follow_the_per_cell_formula():
+    rng = np.random.default_rng(4)
+    grids = [rng.integers(0, high, size=shape)
+             for high, shape in ((2, (3, 5)), (1000, (64, 64)), (10**12, (7, 2)))]
+    grids.append(np.zeros((4, 3), dtype=np.int64))
+    for counts in grids:
+        peak = max(int(counts.max()), 1)
+        rows, cols = counts.shape
+        want = ["P2", f"{cols} {rows}", "255"] + [
+            " ".join(str(int(c) * 255 // peak) for c in row) for row in counts[::-1]
+        ]
+        assert counts_to_pgm(counts) == "\n".join(want) + "\n"
 
 
 def test_pgm_format():

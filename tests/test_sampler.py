@@ -648,8 +648,9 @@ def test_a_pass_never_holds_a_huge_allocation(trials, budget):
     # trials draws at most 2**15 words (256 KiB) in one call and drops them
     # before the next, so here a group is one trial and a chunk's uniforms
     # come in calls of 512 candidates of one fault.  A pass keeps only each
-    # trial's generator, target and buffered half: 1100 trials fill one
-    # seed block of 1024 generators, about 750 B each, and start another.
+    # trial's generator, target and buffered half: the 1100 trials, all
+    # left open by their first candidate, are one pass of 1100 generators,
+    # about 750 B each, within a seed block of 8192.
     # The budget of over a million is an epsilon-0 target search on a
     # 31-bit bijection, whose trials walk their streams alone after the
     # first chunk: every block of that walk is dropped before the next.
@@ -777,6 +778,51 @@ def test_stream_words_equal_numpys_on_every_row_of_two_blocks():
             t = block * sampler._SEED_BLOCK + row
             want = trial_rng(9, t).bit_generator.random_raw(20)[[0, 19]]
             assert got[row].tolist() == want.tolist(), t
+
+
+def test_stepped_first_candidate_words_equal_numpys_on_every_row_of_a_block():
+    # A pass steps every stream of its seed block from one word to the
+    # next.  Each index set a first-candidate pass reads: word 0 (w <= 32,
+    # target search), word 0 then 16 consecutive flip words (width 16, one
+    # flip fault), the target's and candidate 0's words (width 40), and
+    # the target's word and candidate 0's two halves (width 64).
+    indices = {
+        sampler._first_layout(16, 8, 0, True)[0],
+        sampler._first_layout(32, 8, 0, True)[0],
+        sampler._first_layout(16, 8, 1, False)[0],
+        sampler._first_layout(40, 8, 0, True)[0],
+        sampler._first_layout(64, 8, 0, True)[0],
+        sampler._first_layout(64, 8, 0, False)[0],
+    }
+    assert {(0,), (0, *range(4, 20)), (0, 1), (0, 1, 5), (0, 4)} <= indices
+    seed, block = 2**64 + 5, 1
+    seeds = sampler._seed_words(seed, block)
+    assert len(seeds) == sampler._SEED_BLOCK == 8192
+    want = np.stack([
+        trial_rng(seed, block * sampler._SEED_BLOCK + row).bit_generator.random_raw(20)
+        for row in range(sampler._SEED_BLOCK)
+    ])
+    for index in indices:
+        assert np.array_equal(sampler._stream_words(seeds, index), want[:, index]), index
+
+
+def test_a_run_across_a_pass_boundary_equals_its_trials():
+    # 8193 trials end the first pass after trial 8191.  The missing NOT
+    # puts every output one bit off, so at radius 1 about half the trials
+    # accept their first candidate and the rest walk the chunk loop; the
+    # first row and the rows on either side of the boundary hold both.
+    cfg = _config(circuit=_circuit(16, _AND),
+                  faults=(Missing(2, 1), InputPerturbation(0.1)),
+                  epsilon=0.0625, trials=sampler._SEED_BLOCK + 1, seed=3, max_iterations=50)
+    samples = run_experiment(cfg)
+    faulty = inject_all(cfg.circuit, cfg.faults)
+    rows = (0, *range(cfg.trials - 9, cfg.trials))
+    first = {samples[t].iterations == 1 for t in rows}
+    assert first == {True, False}
+    for t in rows:
+        want = run_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
+        assert samples[t] == want, t
+        assert want == _reference_trial(cfg, faulty, cfg.circuit, trial_rng(cfg.seed, t))
 
 
 @pytest.mark.parametrize("seed, trial", [(-1, 0), (0, -1)])
