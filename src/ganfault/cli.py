@@ -11,7 +11,8 @@ feeding it back through ``--config`` reproduces all outputs byte-exactly.
 This module only computes results: :mod:`ganfault.emit` turns every one
 of them, run.json included, into the bytes of an artifact.  An empty
 ``--ckt`` or ``--out`` counts as missing; ``table1`` without ``--out``
-only prints.
+only prints.  A process builds its argument parser once, however often
+:func:`main` runs in it.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
 1 internal error.  Unknown ``--config`` keys, ``--config`` values of
 another type than their flag produces, ``--workers`` below 1,
@@ -31,6 +32,7 @@ is a configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -117,7 +119,9 @@ def _add_common(
     p.add_argument("--config", help="JSON file with defaults for any option")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ganfault",
         description="Fault-tolerance estimation for logic circuits by "

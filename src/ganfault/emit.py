@@ -10,6 +10,15 @@ plain-text PGM rasters are the visual artifacts.  The sample table, the
 scatter and the histogram read the columns of one level's
 :class:`~ganfault.sampler.Samples`.
 
+One row writer renders every numeric text artifact from columns: the
+sample table, the scatter's points and the PGM raster.  :func:`_decimal`
+spells an unsigned column as right-aligned ASCII digits in an (n, w)
+byte array, its leading zeros set to the filler byte 0xFF, which UTF-8
+never holds; :func:`_text` lays such arrays and constant byte cells side
+by side and drops every filler byte at once.  A scatter coordinate is
+written from its exact hundredths (:func:`_hundredths`), which is its
+``format(x, ".2f")``.
+
 Everything here is a pure function of its inputs: the same results give
 byte-identical files, which is what makes double-run comparisons a
 meaningful reproducibility check.
@@ -62,21 +71,82 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return buf.getvalue()
 
 
+_FILL = 0xFF  # the row writer's filler byte; UTF-8 never holds it
+_UNSIGNED = (np.uint8, np.uint16, np.uint32, np.uint64)
+_FLAGS = np.frombuffer(b"false" + b"true\xff", dtype=np.uint8).reshape(2, 5)
+
+
+def _decimal(v: np.ndarray, digits: int = 1, double: bool = False) -> np.ndarray:
+    """The decimal digits of a column of non-negative ints, as ASCII bytes.
+
+    Row r of the (n, w) uint8 result spells ``v[r]`` right-aligned in at
+    least ``digits`` digits; the leading zeros past them are the filler
+    byte.  The digits are computed in the narrowest unsigned dtype that
+    holds the column's maximum.  With ``double`` the row spells ``2 * v[r]``:
+    each digit is doubled, plus a carry when the next digit is at least 5,
+    so a uint64 column's doubles stay exact up to 2**65 - 2.  The result is
+    the transpose of a C-ordered (w, n) array, one digit position a row.
+    """
+    top = int(v.max()) if len(v) else 0
+    dtype = next(t for t in _UNSIGNED if top <= np.iinfo(t).max)
+    x = v.astype(dtype)
+    places = len(str(top))
+    w = max(len(str(2 * top if double else top)), digits)
+    d = np.zeros((max(w, places + double), len(v)), dtype=np.uint8)
+    rest = x
+    for row in d[::-1][:places]:  # the least significant digit first
+        quotient = rest // 10
+        row[:] = rest - quotient * 10
+        rest = quotient
+    if double:
+        carry = (d >= 5).view(np.uint8)
+        d += d
+        d -= carry * np.uint8(10)
+        d[:-1] += carry[1:]
+    d = d[len(d) - w :]
+    d += ord("0")
+    for j, row in enumerate(d[: w - digits]):
+        power = 10 ** (w - 1 - j)  # the row is a leading zero below it
+        row[x < (power + 1) // 2 if double else x < power] = _FILL
+    return d.T
+
+
+def _text(n: int, cells: Sequence) -> str:
+    """``n`` rows of cells side by side, with every filler byte dropped.
+
+    A cell is a bytes constant, the same in every row, or an (n, w) uint8
+    array such as :func:`_decimal` returns.  A constant holds UTF-8 text,
+    which never holds the filler byte, so no byte of it is dropped.  The
+    cells are laid out one byte position a row, then transposed once.
+    """
+    cells = [np.frombuffer(c, dtype=np.uint8)[:, None] if isinstance(c, bytes) else c.T
+             for c in cells]
+    rows = np.empty((sum(len(c) for c in cells), n), dtype=np.uint8)
+    at = 0
+    for c in cells:
+        rows[at : at + len(c)] = c
+        at += len(c)
+    return rows.T.tobytes().translate(None, bytes([_FILL])).decode("utf-8")
+
+
 def samples_to_csv(samples: Samples) -> str:
     """One row per sample, read off the columns; every row repeats the level.
 
     The text is ``csv_text(CSV_HEADER, rows)``.  Only the epsilon and label
     cells are the same in every row, and only the label can need quoting,
-    so the csv module renders those two once, and each row is one ``%``
-    format of the int cells around them.
+    so the csv module renders those two once; the row writer (:func:`_text`)
+    sets them beside the digits of the trial, re, im and iterations columns
+    and each row's true or false.
     """
-    level = csv_text((samples.epsilon, samples.label), ())[:-1].replace("%", "%%")
+    level = csv_text((samples.epsilon, samples.label), ())[:-1]
     epsilon, label = level.split(",", 1)  # a float's cell holds no comma
-    row = f"%d,{epsilon},%d,%d,%d,%s,{label}\n"
-    accepted = ["true" if a else "false" for a in samples.accepted.tolist()]
-    return csv_text(CSV_HEADER, ()) + "".join([row % cells for cells in zip(
-        range(len(samples)), samples.re, samples.im, samples.iterations.tolist(), accepted,
-    )])
+    n = len(samples)
+    return csv_text(CSV_HEADER, ()) + _text(n, [
+        _decimal(np.arange(n)), f",{epsilon},".encode(),
+        _decimal(samples.out, double=True), b",", _decimal(samples.ref, double=True), b",",
+        _decimal(samples.iterations), b",", _FLAGS[samples.accepted.view(np.uint8)],
+        f",{label}\n".encode(),
+    ])
 
 
 def sweep_to_csv(points: Sequence[SweepPoint]) -> str:
@@ -122,6 +192,27 @@ def _read_flag(cell: str) -> bool:
     return cell == "true"
 
 
+MAX_SCATTER_CANVAS = 2**50  # keeps a coordinate's hundredths inside uint64
+
+
+def _hundredths(x: np.ndarray) -> np.ndarray:
+    """Each float64 of ``x`` times 100, rounded half to even, as uint64.
+
+    A float is its 53-bit integer mantissa m times 2**-s; m * 100 fits in
+    uint64, and the rounding reads the exact remainder of its shift by s.
+    For 0 <= x < 2**51 this is exactly the number ``format(x, ".2f")``
+    spells without its point.
+    """
+    mantissa, exponent = np.frexp(x)
+    p = (mantissa * 2.0**53).astype(np.uint64) * np.uint64(100)
+    s = np.minimum(53 - exponent, 62).astype(np.uint64)  # past 62, the hundredths are 0
+    q = p >> s
+    r = p - (q << s)
+    half = np.uint64(1) << (s - np.uint64(1))
+    q += (r > half) | ((r == half) & ((q & np.uint64(1)) == 1))
+    return q
+
+
 def render_scatter(
     samples: Samples,
     width: int,
@@ -131,13 +222,15 @@ def render_scatter(
 
     Both axes span [0, 2**(N+1) - 2]; the identity diagonal is drawn as a
     reference line.  Output is deterministic for a given sample list.
-    A point's coordinates are the Python floats ``x0 + im * sx`` and
-    ``y0 + re * sy``: im = 2 * ref converts to ``2.0 * float(ref)``
-    exactly, so they are computed as float64 arrays.
+    A canvas side is 64 to ``MAX_SCATTER_CANVAS`` pixels.  A point's
+    coordinates are the floats ``x0 + im * sx`` and ``y0 + re * sy``:
+    im = 2 * ref converts to ``2.0 * float(ref)`` exactly, so they are
+    computed as float64 arrays.  Each is written with two decimals from
+    its exact hundredths (:func:`_hundredths`), which is its ``:.2f``.
     """
     cw, ch = canvas
-    if cw < 64 or ch < 64:
-        raise ValueError(f"canvas must be at least 64x64, got {cw}x{ch}")
+    if not (64 <= cw <= MAX_SCATTER_CANVAS and 64 <= ch <= MAX_SCATTER_CANVAS):
+        raise ValueError(f"canvas sides must be 64..2**50 pixels, got {cw}x{ch}")
     scale = full_scale(width)
     margin = 36
     x0, y0 = margin, ch - margin          # plot origin (bottom-left)
@@ -151,7 +244,7 @@ def render_scatter(
     def py(re):
         return y0 + re * sy
 
-    lines = [
+    head = "\n".join([
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{cw}" height="{ch}" '
         f'viewBox="0 0 {cw} {ch}">',
         f'<rect x="0" y="0" width="{cw}" height="{ch}" fill="white"/>',
@@ -163,13 +256,15 @@ def render_scatter(
         f'text-anchor="middle" fill="black">im (reference)</text>',
         f'<text x="10" y="{(y0 + y1) / 2:.2f}" font-size="11" text-anchor="middle" '
         f'fill="black" transform="rotate(-90 10 {(y0 + y1) / 2:.2f})">re (modulated)</text>',
-    ]
+    ])
     xs = px(2.0 * samples.ref[samples.accepted].astype(np.float64))
     ys = py(2.0 * samples.out[samples.accepted].astype(np.float64))
-    lines += (f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.2" fill="black"/>'
-              for x, y in zip(xs.tolist(), ys.tolist()))
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    cx, cy = (_decimal(_hundredths(v), 3) for v in (xs, ys))
+    circles = _text(len(xs), [
+        b'<circle cx="', cx[:, :-2], b".", cx[:, -2:],
+        b'" cy="', cy[:, :-2], b".", cy[:, -2:], b'" r="1.2" fill="black"/>\n',
+    ])
+    return f"{head}\n{circles}</svg>\n"
 
 
 def histogram_counts(samples: Samples, width: int, bins: int = 64) -> np.ndarray:
@@ -177,15 +272,18 @@ def histogram_counts(samples: Samples, width: int, bins: int = 64) -> np.ndarray
 
     Row index runs over re, column index over im, both ascending; the sum
     of counts equals the number of accepted samples.  A point's cell is
-    ``re * bins // limit`` in Python ints: re * bins passes 2**64 at
-    width 64.  The cells are then counted by one ``np.bincount``.
+    ``re * bins // (2**(N+1) - 1)``.  The bins - 1 cell edges, the smallest
+    output of each cell past the first, ``ceil(k * (2**(N+1) - 1) / (2 * bins))``,
+    are exact uint64 at every width, and ``np.searchsorted`` counts the
+    edges at or below each output.
     """
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
     limit = full_scale(width) + 1
-    out, ref = (col[samples.accepted].tolist() for col in (samples.out, samples.ref))
-    cells = [2 * bins * o // limit * bins + 2 * bins * f // limit for o, f in zip(out, ref)]
-    return np.bincount(cells, minlength=bins * bins).reshape(bins, bins)
+    edges = np.array([-(-k * limit // (2 * bins)) for k in range(1, bins)], dtype=np.uint64)
+    row, col = (np.searchsorted(edges, c[samples.accepted], side="right")
+                for c in (samples.out, samples.ref))
+    return np.bincount(row * bins + col, minlength=bins * bins).reshape(bins, bins)
 
 
 def counts_to_pgm(counts: np.ndarray) -> str:
@@ -193,14 +291,16 @@ def counts_to_pgm(counts: np.ndarray) -> str:
 
     The top raster row holds the highest re bin so the identity diagonal
     rises from the bottom-left corner.  A cell is ``count * 255 // peak``,
-    in int64: exact for counts below 2**55.
+    in int64: exact for counts below 2**55.  The row writer (:func:`_text`)
+    sets each cell's digits before a space, or a newline at a row's end.
     """
     peak = max(int(counts.max()), 1)  # an all-zero grid stays zero
     rows, cols = counts.shape
-    lines = ["P2", f"{cols} {rows}", "255"]
     scaled = counts[::-1].astype(np.int64) * 255 // peak
-    lines += (" ".join(map(str, row)) for row in scaled.tolist())
-    return "\n".join(lines) + "\n"
+    ends = np.full((rows, cols), ord(" "), dtype=np.uint8)
+    ends[:, -1] = ord("\n")
+    cells = _text(rows * cols, [_decimal(scaled.ravel()), ends.reshape(-1, 1)])
+    return f"P2\n{cols} {rows}\n255\n{cells}"
 
 
 @dataclass(frozen=True)

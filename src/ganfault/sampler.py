@@ -451,13 +451,20 @@ def _jump(k: int) -> tuple[tuple[np.uint64, ...], tuple[np.uint64, ...]]:
     again, and each draw steps once before its output.  So with x the seed
     state plus the increment, word k is the output of x stepped k + 2 times
     (``s <- M * s + inc``), the state ``A * x + C * inc`` (mod 2**128),
-    where ``A = M**(k+2)`` and ``C = 1 + M + ... + M**(k+1)``.  Both are
-    returned as :func:`_limbs`.
+    where ``A = M**(k+2)`` and ``C = 1 + M + ... + M**(k+1)``.  The steps
+    compose by squaring, as PCG's ``advance`` does: ``(a, c)`` is the
+    affine map of 2**i steps, and applying it after ``(A, C)`` gives
+    ``(a * A, a * C + c)``; it takes O(log k) products.  Both are returned
+    as :func:`_limbs`.
     """
-    a, c = 1, 0
-    for _ in range(k + 2):
-        a, c = a * _PCG_MULT & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-    return _limbs(a), _limbs(c)
+    big_a, big_c, a, c = 1, 0, _PCG_MULT, 1
+    steps = k + 2
+    while steps:
+        if steps & 1:
+            big_a, big_c = big_a * a & _MASK128, (big_c * a + c) & _MASK128
+        a, c = a * a & _MASK128, c * (a + 1) & _MASK128
+        steps >>= 1
+    return _limbs(big_a), _limbs(big_c)
 
 
 def _mul128(k: tuple[np.uint64, ...], hi: np.ndarray, lo: np.ndarray, scratch) -> None:

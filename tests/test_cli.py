@@ -360,6 +360,48 @@ def test_module_entry_point(not4_ckt):
     assert "AND-XOR vs XOR-AND" in proc.stdout
 
 
+def _tree(directory) -> dict[str, bytes]:
+    return {p.relative_to(directory).as_posix(): p.read_bytes()
+            for p in sorted(directory.rglob("*")) if p.is_file()}
+
+
+def test_one_parser_serves_every_main_call_of_a_process(
+    not8_ckt, tmp_path, capsys, monkeypatch
+):
+    # simulate, a bad flag, --help and sweep run one after the other on the
+    # one cached parser; each prints and writes what a fresh process does.
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the same width
+    assert build_parser() is build_parser()
+    common = ["--ckt", str(not8_ckt), "--fault", "swap:L1.S1:buffer", "--trials", "60",
+              "--seed", "4", "--max-iterations", "500"]
+    calls = [
+        (["simulate", *common, "--eps", "0.25", "--canvas", "96"], 0),
+        (["simulate", *common, "--no-such-flag", "1"], 2),
+        (["sweep", "--help"], 0),
+        (["sweep", *common, "--grid", "0:0.2:0.1", "--tau", "0.02"], 0),
+    ]
+    for i, (argv, code) in enumerate(calls):
+        here, fresh = tmp_path / f"main{i}", tmp_path / f"fresh{i}"
+        assert main([*argv, "--out", str(here)]) == code, argv
+        printed = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "ganfault", *argv, "--out", str(fresh)],
+            capture_output=True, text=True, env=src_env(), cwd=tmp_path,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert (printed.out.replace(str(here), str(fresh)), printed.err) == (
+            proc.stdout, proc.stderr)
+        if code == 0 and argv[1] != "--help":
+            assert _tree(here) == {
+                k: v.replace(str(fresh).encode(), str(here).encode())
+                for k, v in _tree(fresh).items()
+            }
+            assert set(_tree(here)) >= {"run.json"}
+        else:
+            assert not here.exists() and not fresh.exists()
+    assert build_parser() is build_parser()
+
+
 def test_workers_below_one_exits_2(not8_ckt, tmp_path, capsys):
     out = tmp_path / "o"
     code = main([

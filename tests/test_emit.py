@@ -10,7 +10,11 @@ import pytest
 from ganfault.circuit import Circuit, GateKind, identity_circuit, unary_layer
 from ganfault.emit import (
     CSV_HEADER,
+    MAX_SCATTER_CANVAS,
     DatasetManifest,
+    _decimal,
+    _hundredths,
+    _text,
     counts_to_pgm,
     csv_text,
     emit_dataset,
@@ -122,6 +126,54 @@ def test_scatter_rejects_small_canvas():
         render_scatter(_level(), width=4, canvas=(63, 480))
 
 
+@pytest.mark.parametrize("canvas", [(480, 63), (2**50 + 1, 480), (480, 2**50 + 1)])
+def test_scatter_rejects_a_canvas_side_outside_64_to_2_to_the_50(canvas):
+    with pytest.raises(ValueError, match="64..2"):
+        render_scatter(_level(_sample()), width=4, canvas=canvas)
+
+
+def test_scatter_renders_the_largest_canvas():
+    assert MAX_SCATTER_CANVAS == 2**50
+    size = 2**50
+    doc = render_scatter(_level(_sample(re=30, im=0)), width=4, canvas=(size, size))
+    assert f'width="{size}" height="{size}"' in doc
+    # im 0 sits on the y axis at x0 = 36; re 30 is the top, 12 px below the edge.
+    assert '<circle cx="36.00" cy="12.00" r="1.2" fill="black"/>' in doc
+
+
+def _tie_neighbourhood(canvas: int) -> np.ndarray:
+    """Eighths across a canvas (ties at .125, .375, ...) and the floats either side."""
+    rng = np.random.default_rng(canvas)
+    eighths = np.concatenate([
+        np.arange(-40, 41) + 8 * base for base in (0, 12, 36, canvas // 2, canvas - 12)
+    ] + [rng.integers(0, 8 * canvas, size=200)])
+    x = eighths[eighths >= 0] / 8.0
+    x = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf),
+                        [2.0**-60, 1e-5, 0.005, 0.015, 2.675]])
+    assert x.max() < 2.0**51
+    return x
+
+
+@pytest.mark.parametrize("canvas", [64, 480, 8192, 2**50])
+def test_hundredths_are_format_2f_on_ties_and_their_neighbours(canvas):
+    x = _tie_neighbourhood(canvas)
+    digits = _decimal(_hundredths(x), 3)
+    text = _text(len(x), [digits[:, :-2], b".", digits[:, -2:], b"\n"])
+    assert text.splitlines() == [f"{v:.2f}" for v in x.tolist()]
+
+
+def test_row_writer_on_zero_rows_and_zero_accepted_points():
+    assert _text(0, [_decimal(np.zeros(0, dtype=np.uint64)), b",\n"]) == ""
+    empty = _level()
+    assert samples_to_csv(empty) == csv_text(CSV_HEADER, ())
+    censored = _level(_sample(accepted=False), _sample(re=0, im=0, accepted=False))
+    doc = render_scatter(censored, width=4)
+    assert doc == render_scatter(empty, width=4)
+    assert "<circle" not in doc and doc.endswith('re (modulated)</text>\n</svg>\n')
+    counts = histogram_counts(censored, width=4, bins=3)
+    assert counts.shape == (3, 3) and not counts.any()
+
+
 def test_histogram_mass_equals_accepted_count():
     samples = _level(*(_sample(re=2 * i, im=2 * i) for i in range(16)),
                      *[_sample(accepted=False)] * 5)
@@ -151,15 +203,17 @@ def _edge_outputs(width: int, bins: int) -> list[int]:
         values |= {m << (width - 54) for m in ((1 << 53) + 1, (1 << 53) + 3, (1 << 54) - 1)}
     rng = random.Random(width)
     values |= {rng.randrange(1 << width) for _ in range(40)}
-    return sorted(values)
+    return sorted(v for v in values if 0 <= v <= top)
 
 
-@pytest.mark.parametrize("width", [16, 33, 52, 53, 64])
+@pytest.mark.parametrize("width", [1, 16, 31, 32, 33, 52, 53, 63, 64])
 def test_columns_give_todays_cells_coordinates_and_csv_at_every_width(width):
     # re = 2 * out reaches 2**65 - 2 at width 64, past uint64 and past the
     # 53 bits a double holds exactly.  Each artifact must equal the row
     # formula on Python ints, written out here.  On a canvas of 2**50 a
     # coordinate's ulp is at most 0.25, so "%.2f" shows every bit of it.
+    # The widths take the digits of every unsigned dtype, up to the
+    # doubling carry of 2**64 - 1.
     bins = 64
     outs = _edge_outputs(width, bins)
     refs = outs[::-1]
@@ -177,7 +231,7 @@ def test_columns_give_todays_cells_coordinates_and_csv_at_every_width(width):
     assert {cell: int(c) for cell, c in np.ndenumerate(counts) if c} == dict(cells)
 
     scale = (1 << (width + 1)) - 2
-    for size in (480, 2**50):
+    for size in (64, 480, 8192, 2**50):
         x0, y0, x1, y1 = 36, size - 36, size - 12, 12
         sx, sy = (x1 - x0) / scale, (y1 - y0) / scale
         doc = render_scatter(samples, width, canvas=(size, size))
@@ -206,7 +260,8 @@ def _random_level(width: int, n: int, epsilon: float, label: str, seed: int) -> 
 
 
 @pytest.mark.parametrize("label", ["swap", "", "missing:L1.S1,flip:0.5", 'say "hi"',
-                                   "two\nlines", "cr\rlf", "100%", "%d %s %%", "{}", "{0}"])
+                                   "two\nlines", "cr\rlf", "100%", "%d %s %%", "{}", "{0}",
+                                   "nul\x00byte", "\u00ff \u00fe \u2713 ÿ"])
 @pytest.mark.parametrize("epsilon", [0.0, 0.1, 1e-05, 1.0])
 def test_samples_csv_is_the_csv_text_of_its_rows(epsilon, label):
     for width, n in ((64, 50), (16, 7), (4, 0)):
@@ -237,6 +292,10 @@ def test_pgm_cells_follow_the_per_cell_formula():
     grids = [rng.integers(0, high, size=shape)
              for high, shape in ((2, (3, 5)), (1000, (64, 64)), (10**12, (7, 2)))]
     grids.append(np.zeros((4, 3), dtype=np.int64))
+    # The dataset's smallest and largest grids, bins 1 and 1024.
+    samples = _random_level(16, 3000, 0.5, "x", seed=3)
+    grids += [histogram_counts(samples, 16, bins) for bins in (1, 1024)]
+    grids.append(np.zeros((1, 1), dtype=np.int64))
     for counts in grids:
         peak = max(int(counts.max()), 1)
         rows, cols = counts.shape

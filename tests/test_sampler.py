@@ -771,6 +771,21 @@ def test_stream_words_equal_numpys(seed):
         assert got == want, (seed, trial)
 
 
+def test_stream_words_far_out_equal_numpys_advance():
+    # _jump composes the steps by squaring, so word 2**64 - 3 (the state
+    # stepped 2**64 - 1 times) takes as long as word 0.
+    index = (2**40 - 2, 2**40, 2**40 + 1, 2**40 + 7, 2**64 - 5, 2**64 - 4, 2**64 - 3)
+    seeds = sampler._seed_words(11, 0)[[0, 5, 8191]]
+    got = sampler._stream_words(seeds, index)
+    for row, words in zip(seeds, got.tolist()):
+        want = []
+        for k in index:
+            bits = np.random.PCG64(sampler._seed_words_type()(row))
+            bits.advance(k)
+            want.append(int(bits.random_raw()))
+        assert words == want, index
+
+
 def test_stream_words_equal_numpys_on_every_row_of_two_blocks():
     for block in (0, 1):
         got = sampler._stream_words(sampler._seed_words(9, block), (0, 19))
