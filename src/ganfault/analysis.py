@@ -1,7 +1,9 @@
 """Deviation-scatter fits, transition detection, and the composition table.
 
 The linear fit regresses re on im by ordinary least squares and reports a
-scale-free nonlinearity statistic rho = RMS residual / (2**(N+1) - 2).
+scale-free nonlinearity statistic rho = RMS residual / (2**(N+1) - 2).  It
+is computed from exact integer moments, so it prints the same digits on
+every Python version.
 A sweep samples every uncertainty level in one walk of each trial's
 stream (:func:`ganfault.sampler.run_levels`); the transition point
 eps* is the smallest grid level whose rho exceeds the threshold tau among
@@ -13,7 +15,7 @@ is :func:`analytic_mean_iterations`.
 from __future__ import annotations
 
 import math
-import statistics
+import operator
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import Callable, Sequence
@@ -49,22 +51,31 @@ def full_scale(width: int) -> int:
 def fit_linear(samples: Samples, width: int) -> LinearFit:
     """Least-squares line re = slope * im + intercept over the samples.
 
-    re and im are Python ints, so the sums are exact.
+    The moments n, Σx, Σy, Σx², Σxy and Σy² of x = im and y = re are exact
+    Python ints, and so are N = nΣxy − ΣxΣy, D = nΣx² − (Σx)² and
+    T = nΣy² − (Σy)².  slope = N/D, intercept = (Σy·D − N·Σx)/(n·D) and
+    r² = N²/(D·T) (1.0 when every y is equal) are each one correctly rounded
+    int division; rho is the square root of the mean squared residual
+    (T·D − N²)/(n²·D), also one such division, over the full scale.  No
+    float is summed and no libm ``pow`` is called, so every cell reads the
+    same on every Python version and platform.
     """
     n = len(samples)
     if n < 2:
         raise ValueError("degenerate abscissa: need at least two samples")
     xs, ys = samples.im, samples.re
-    mean_x, mean_y = sum(xs) / n, sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    if sxx == 0:
+    sx, sy = sum(xs), sum(ys)
+    d = n * sum(map(operator.mul, xs, xs)) - sx * sx
+    if d == 0:
         raise ValueError("degenerate abscissa: all im values equal")
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
-    intercept = mean_y - slope * mean_x
-    ss_res = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys))
-    ss_tot = sum((y - mean_y) ** 2 for y in ys)
-    r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return LinearFit(slope, intercept, r_squared, math.sqrt(ss_res / n) / full_scale(width))
+    num = n * sum(map(operator.mul, xs, ys)) - sx * sy
+    t = n * sum(map(operator.mul, ys, ys)) - sy * sy
+    return LinearFit(
+        slope=num / d,
+        intercept=(sy * d - num * sx) / (n * d),
+        r_squared=1.0 if t == 0 else num * num / (d * t),
+        rho=math.sqrt((t * d - num * num) / (n * n * d)) / full_scale(width),
+    )
 
 
 @dataclass
@@ -110,14 +121,16 @@ def summarize_point(epsilon: float, samples: Samples, width: int) -> SweepPoint:
             fit = fit_linear(accepted, width)
         except ValueError:
             fit = None
-    iters = accepted.iterations.tolist()
+    iters = sorted(accepted.iterations.tolist())
+    mid = len(iters) // 2
     return SweepPoint(
         epsilon=epsilon,
         samples=samples,
         accepted_count=len(accepted),
         fit=fit,
         mean_iterations=sum(iters) / len(iters) if iters else None,
-        median_iterations=statistics.median(iters) if iters else None,
+        median_iterations=(None if not iters else iters[mid] if len(iters) % 2
+                           else (iters[mid - 1] + iters[mid]) / 2),
         censored_fraction=1.0 - len(accepted) / len(samples) if samples else 0.0,
     )
 

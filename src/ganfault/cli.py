@@ -11,8 +11,11 @@ feeding it back through ``--config`` reproduces all outputs byte-exactly.
 This module only computes results: :mod:`ganfault.emit` turns every one
 of them, run.json included, into the bytes of an artifact.  An empty
 ``--ckt`` or ``--out`` counts as missing; ``table1`` without ``--out``
-only prints.  A process builds its argument parser once, however often
-:func:`main` runs in it.
+only prints.  Every option's ``--config`` type test, default, range and
+argparse keywords come from one table, ``_OPTIONS``, and each subcommand
+names the options it takes in ``_COMMANDS``: the parser, the defaults and
+the type and range checks are all derived from them.  A process builds
+its argument parser once, however often :func:`main` runs in it.
 Exit codes: 0 success, 2 configuration/parse error, 3 empty result,
 1 internal error.  Unknown ``--config`` keys, ``--config`` values of
 another type than their flag produces, ``--workers`` below 1,
@@ -50,21 +53,6 @@ class EmptyResultError(RuntimeError):
     pass
 
 
-_DEFAULTS = {
-    "fault": "",
-    "eps": 0.1,
-    "grid": "0:0.5:0.05",
-    "trials": 1000,
-    "mode": "fault-compare",
-    "max_iterations": 1_000_000,
-    "workers": 1,
-    "tau": analysis.DEFAULT_TAU,
-    "min_samples": analysis.DEFAULT_MIN_SAMPLES,
-    "bins": 64,
-    "canvas": 480,
-    "run": [],
-}
-
 MAX_BINS = 1024  # the dataset histogram holds bins**2 int64 counts
 MAX_CANVAS = 8192
 # A run holds 25 B per trial per distinct accept radius (25 MB a radius here),
@@ -77,46 +65,62 @@ MAX_GRID_LEVELS = 1001  # bounds the grid list and sweep.csv, one row a level
 _INT = (lambda v: type(v) is int, "an integer")
 _NUMBER = (lambda v: type(v) in (int, float), "a number")
 _STR = (lambda v: type(v) is str, "a string")
+_GRID = (lambda v: type(v) is str or type(v) is list and all(map(_NUMBER[0], v)),
+         "a grid string or a list of numbers")
+_RUNS = (lambda v: type(v) is list and all(map(_STR[0], v)), "a list of LABEL=FAULTSPECS strings")
 
-#: Every key a subcommand can write into run.json, hence every key a
-#: ``--config`` document may hold (besides "command"), with a test for the
-#: type of value its flag produces.  "memoize" is no longer written; it is
+#: Every option, as (type test of its --config value, None if it is no
+#: config key; default, None where run.json holds the option only when it
+#: is given; inclusive (low, high) range, each end None for no bound;
+#: argparse keywords, None if it has no flag).  The ranged rows come last,
+#: in the order their bounds are checked, once config and flags are merged
+#: and before any work starts; trials below 1 are left to
+#: :meth:`ExperimentConfig.validate`.  "memoize" is no longer written; it is
 #: kept so that older run.json files replay.
-_CONFIG_TYPES = {
-    "ckt": _STR, "fault": _STR, "mode": _STR, "out": _STR,
-    "seed": _INT, "trials": _INT, "max_iterations": _INT, "workers": _INT,
-    "min_samples": _INT, "bins": _INT, "canvas": _INT,
-    "eps": _NUMBER, "tau": _NUMBER,
-    "memoize": (lambda v: type(v) is bool, "true or false"),
-    "grid": (lambda v: type(v) is str or type(v) is list and all(map(_NUMBER[0], v)),
-             "a grid string or a list of numbers"),
-    "run": (lambda v: type(v) is list and all(map(_STR[0], v)),
-            "a list of LABEL=FAULTSPECS strings"),
+_OPTIONS = {
+    "ckt": (_STR, None, None, dict(help="circuit netlist file (.ckt)")),
+    "fault": (_STR, "", None, dict(help="comma-separated fault specs")),
+    "seed": (_INT, None, None, dict(type=int, help="base RNG seed (required)")),
+    "mode": (_STR, "fault-compare", None, dict(choices=["fault-compare", "target-search"])),
+    "max_iterations": (_INT, 1_000_000, None, dict(type=int)),
+    "out": (_STR, None, None, dict(help="output directory")),
+    "config": (None, None, None, dict(help="JSON file with defaults for any option")),
+    "eps": (_NUMBER, 0.1, None, dict(type=float, help="uncertainty level in [0, 1]")),
+    "grid": (_GRID, "0:0.5:0.05", None, dict(help="epsilon grid 'start:stop:step' or comma list")),
+    "tau": (_NUMBER, analysis.DEFAULT_TAU, None,
+            dict(type=float, help="nonlinearity threshold on rho")),
+    "run": (_RUNS, [], None, dict(action="append", metavar="LABEL=FAULTSPECS",
+                                  help="the label and faults of one image; repeatable")),
+    "memoize": ((lambda v: type(v) is bool, "true or false"), None, None, None),
+    "workers": (_INT, 1, (1, None), dict(type=int, help="accepted (at least 1) so older "
+                                         "run.json files replay; has no effect")),
+    "min_samples": (_INT, analysis.DEFAULT_MIN_SAMPLES, (0, None),
+                    dict(type=int, help="accepted samples needed before a level is trusted")),
+    "trials": (_INT, 1000, (None, MAX_TRIALS),
+               dict(type=int, help=f"number of trials per experiment, 1..{MAX_TRIALS}")),
+    "bins": (_INT, 64, (1, MAX_BINS), dict(type=int, help=f"histogram grid size, 1..{MAX_BINS}")),
+    "canvas": (_INT, 480, (64, MAX_CANVAS),
+               dict(type=int, help=f"scatter canvas size in pixels, 64..{MAX_CANVAS}")),
 }
 
-#: Inclusive integer ranges checked before any work starts; None is no
-#: bound.  Trials below 1 are left to :meth:`ExperimentConfig.validate`.
-_RANGES = {
-    "workers": (1, None), "min_samples": (0, None), "trials": (None, MAX_TRIALS),
-    "bins": (1, MAX_BINS), "canvas": (64, MAX_CANVAS),
+_COMMON = ("ckt", "fault", "trials", "seed", "mode", "max_iterations", "workers", "out", "config")
+#: Each subcommand's parser keywords and its options in --help order; a
+#: (name, help) pair replaces the table's help of that option there.
+_COMMANDS = {
+    "simulate": (dict(help="one experiment: samples CSV + scatter SVG"),
+                 (*_COMMON, "eps", "canvas")),
+    "sweep": (dict(help="epsilon grid: sweep CSV + transition JSON"),
+              (*_COMMON, "grid", "tau", "min_samples")),
+    "table1": (dict(help="exhaustive reversed-composition deviations"),
+               (("out", "optional output directory for the JSON report"), "config")),
+    "spectrum": (dict(help="pair-energy spectrum of an experiment"), (*_COMMON, "eps")),
+    # --fault stays accepted, and unlisted, so that a non-empty value gets the
+    # clear error of cmd_dataset rather than argparse's.
+    "dataset": (dict(help="labeled PGM histograms + manifest",
+                     description="One labeled PGM histogram per --run.  The faults of "
+                                 "each image come from its --run LABEL=FAULTSPECS entry."),
+                ("ckt", ("fault", argparse.SUPPRESS), *_COMMON[2:], "eps", "bins", "run")),
 }
-
-
-def _add_common(
-    p: argparse.ArgumentParser, *, fault_help: str = "comma-separated fault specs"
-) -> None:
-    p.add_argument("--ckt", help="circuit netlist file (.ckt)")
-    p.add_argument("--fault", help=fault_help)
-    p.add_argument("--trials", type=int,
-                   help=f"number of trials per experiment, 1..{MAX_TRIALS}")
-    p.add_argument("--seed", type=int, help="base RNG seed (required)")
-    p.add_argument("--mode", choices=["fault-compare", "target-search"])
-    p.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p.add_argument("--workers", type=int,
-                   help="accepted (at least 1) so older run.json files replay; "
-                        "has no effect")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--config", help="JSON file with defaults for any option")
 
 
 @functools.cache
@@ -128,59 +132,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "GAN-style rejection sampling.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("simulate", help="one experiment: samples CSV + scatter SVG")
-    _add_common(p)
-    p.add_argument("--eps", type=float, help="uncertainty level in [0, 1]")
-    p.add_argument("--canvas", type=int,
-                   help=f"scatter canvas size in pixels, 64..{MAX_CANVAS}")
-
-    p = sub.add_parser("sweep", help="epsilon grid: sweep CSV + transition JSON")
-    _add_common(p)
-    p.add_argument("--grid", help="epsilon grid 'start:stop:step' or comma list")
-    p.add_argument("--tau", type=float, help="nonlinearity threshold on rho")
-    p.add_argument("--min-samples", type=int, dest="min_samples",
-                   help="accepted samples needed before a level is trusted")
-
-    p = sub.add_parser("table1", help="exhaustive reversed-composition deviations")
-    p.add_argument("--out", help="optional output directory for the JSON report")
-    p.add_argument("--config", help="JSON file with defaults for any option")
-
-    p = sub.add_parser("spectrum", help="pair-energy spectrum of an experiment")
-    _add_common(p)
-    p.add_argument("--eps", type=float, help="uncertainty level in [0, 1]")
-
-    p = sub.add_parser(
-        "dataset", help="labeled PGM histograms + manifest",
-        description="One labeled PGM histogram per --run.  The faults of each "
-                    "image come from its --run LABEL=FAULTSPECS entry.",
-    )
-    # --fault stays accepted, and unlisted, so that a non-empty value gets the
-    # clear error of cmd_dataset rather than argparse's.
-    _add_common(p, fault_help=argparse.SUPPRESS)
-    p.add_argument("--eps", type=float, help="uncertainty level in [0, 1]")
-    p.add_argument("--bins", type=int, help=f"histogram grid size, 1..{MAX_BINS}")
-    p.add_argument("--run", action="append", metavar="LABEL=FAULTSPECS",
-                   help="the label and faults of one image; repeatable")
-
+    for command, (keywords, names) in _COMMANDS.items():
+        p = sub.add_parser(command, **keywords)
+        for entry in names:
+            name, override = (entry, None) if type(entry) is str else entry
+            flag = _OPTIONS[name][3]
+            p.add_argument("--" + name.replace("_", "-"),
+                           **(flag if override is None else {**flag, "help": override}))
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge config-file values and explicit flags over the defaults."""
-    resolved = dict(_DEFAULTS)
+    resolved = {key: default for key, (_, default, _, _) in _OPTIONS.items()
+                if default is not None}
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(doc, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         doc.pop("command", None)
-        unknown = sorted(doc.keys() - _CONFIG_TYPES.keys())
+        unknown = sorted(k for k in doc if k not in _OPTIONS or _OPTIONS[k][0] is None)
         if unknown:
             raise ValueError(
                 f"config {args.config}: unknown key(s) {', '.join(map(repr, unknown))}"
             )
         for key, value in sorted(doc.items()):
-            valid, kind = _CONFIG_TYPES[key]
+            valid, kind = _OPTIONS[key][0]
             if not valid(value):
                 raise ValueError(
                     f"config {args.config}: {key!r} must be {kind}, got {value!r}"
@@ -195,8 +172,10 @@ def _resolve(args: argparse.Namespace) -> dict:
         if key in ("command", "config") or value is None:
             continue
         resolved[key] = value
-    for key, (low, high) in _RANGES.items():
-        value = resolved[key]
+    for key, (_, _, bounds, _) in _OPTIONS.items():
+        if bounds is None:
+            continue
+        (low, high), value = bounds, resolved[key]
         if (low is not None and value < low) or (high is not None and value > high):
             bound = (f"<= {high}" if low is None else f">= {low}" if high is None
                      else f"in [{low}, {high}]")

@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 from itertools import product
 
@@ -56,34 +57,74 @@ def test_fit_linear_exact_affine():
     assert fit.rho < 1e-12
 
 
+def _fraction_fit(points, width):
+    """The fit's cells, correctly rounded, from exact rational normal equations
+    and explicit residuals."""
+    n = len(points)
+    ims, res = ([Fraction(v) for v in column] for column in zip(*points))
+    mean_x, mean_y = sum(ims) / n, sum(res) / n
+    slope = (sum((x - mean_x) * (y - mean_y) for x, y in zip(ims, res))
+             / sum((x - mean_x) ** 2 for x in ims))
+    intercept = mean_y - slope * mean_x
+    ssr = sum((y - (slope * x + intercept)) ** 2 for x, y in zip(ims, res))
+    sst = sum((y - mean_y) ** 2 for y in res)
+    r_squared = 1.0 if sst == 0 else float(1 - ssr / sst)
+    return LinearFit(float(slope), float(intercept), r_squared,
+                     math.sqrt(ssr / n) / full_scale(width))
+
+
 def test_fit_linear_outlier_matches_hand_ols():
     # Diagonal data plus one point displaced by the full scale (30 at N=4);
-    # expected rho computed independently via exact rational normal
-    # equations.
-    ims = [0, 8, 16, 24, 30]
-    res = [0, 8, 16, 24, 60]
-    n = len(ims)
-    sx = Fraction(sum(ims))
-    sy = Fraction(sum(res))
-    sxx = Fraction(sum(x * x for x in ims))
-    sxy = Fraction(sum(x * y for x, y in zip(ims, res)))
-    slope = (n * sxy - sx * sy) / (n * sxx - sx * sx)
-    intercept = (sy - slope * sx) / n
-    ssr = sum((Fraction(y) - (slope * x + intercept)) ** 2 for x, y in zip(ims, res))
-    rho_expected = math.sqrt(ssr / n) / 30
+    # every cell equals the exact rational fit, correctly rounded.
+    points = list(zip([0, 8, 16, 24, 30], [0, 8, 16, 24, 60]))
+    fit = fit_linear(_samples(points), width=4)
+    assert fit == _fraction_fit(points, width=4)
+    assert 0 < fit.r_squared < 1 and fit.rho > 0
 
-    fit = fit_linear(_samples(list(zip(ims, res))), width=4)
-    assert math.isclose(fit.slope, float(slope), rel_tol=1e-12)
-    assert math.isclose(fit.intercept, float(intercept), rel_tol=1e-12)
-    assert math.isclose(fit.rho, rho_expected, rel_tol=1e-12)
-    assert fit.rho > 0
+
+_TOP = (1 << 65) - 2  # the largest re or im, at width 64
+
+
+@pytest.mark.parametrize("width, points", [
+    (1, [(0, 0), (2, 0), (2, 2), (0, 2), (2, 2), (0, 0), (2, 2)]),
+    (64, [(_TOP, _TOP), (_TOP - 2, _TOP - 4), (_TOP - 6, _TOP), (_TOP - 4, _TOP - 2),
+          (_TOP - 2, _TOP - 2), (_TOP - 8, 0)]),
+    (64, [(0, _TOP), (_TOP, 0), (_TOP - 2, _TOP), (2, 2)]),
+    # Dividing the mean squared residual in two steps rounds rho differently.
+    (3, [(8, 0), (6, 6), (2, 10), (12, 8), (6, 2)]),
+])
+def test_fit_linear_equals_the_fraction_reference(width, points):
+    assert fit_linear(_samples(points), width) == _fraction_fit(points, width)
+
+
+def test_fit_linear_constant_y_is_a_perfect_flat_fit():
+    fit = fit_linear(_samples([(0, 6), (4, 6), (10, 6), (_TOP, 6)]), width=64)
+    assert fit == LinearFit(0.0, 6.0, 1.0, 0.0)
 
 
 def test_fit_linear_degenerate():
     with pytest.raises(ValueError, match="degenerate abscissa"):
         fit_linear(_samples([(6, 2), (6, 4), (6, 6)]), width=4)
     with pytest.raises(ValueError, match="degenerate abscissa"):
+        fit_linear(_samples([(_TOP, 2), (_TOP, _TOP)]), width=64)
+    with pytest.raises(ValueError, match="degenerate abscissa"):
         fit_linear(_samples([(6, 2)]), width=4)
+
+
+@pytest.mark.parametrize("iterations", [
+    [], [7], [5, 1], [3, 9, 1], [4, 1, 8, 2], [1 << 62, (1 << 62) + 1], [2, 2, 3, 3, 3, 9],
+])
+def test_median_iterations_is_statistics_median_of_the_accepted(iterations):
+    # A rejected row's count must not enter the median; an odd count gives
+    # the middle int and an even one the float mean of the middle two.
+    rows = [(k, True) for k in iterations] + [((1 << 63) - 1, False)]
+    samples = Samples.from_rows(
+        DeviationSample(re=0, im=0, iterations=k, accepted=a, epsilon=0.1, label="x")
+        for k, a in rows
+    )
+    median = summarize_point(0.1, samples, width=4).median_iterations
+    expected = statistics.median(iterations) if iterations else None
+    assert median == expected and type(median) is type(expected)
 
 
 def _synthetic_sweep(rhos, grid, accepted=1000):

@@ -340,11 +340,13 @@ def test_import_leaves_numpy_random_and_scipy_unloaded():
     # Each CLI call pays for what importing the CLI loads; numpy.random is
     # loaded at a run's first trial.  scipy is only a test extra, so a plain
     # install has none: the exact model, which the CLI loads, must not need it.
+    # statistics would bring fractions and decimal; the sweep needs none of them.
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, ganfault.cli; "
          "print('ganfault.exact' in sys.modules, sorted(m for m in sys.modules "
-         "if m == 'scipy' or m.startswith(('numpy.random', 'scipy.'))))"],
+         "if m in ('scipy', 'statistics', 'fractions', 'decimal') "
+         "or m.startswith(('numpy.random', 'scipy.'))))"],
         capture_output=True, text=True, env=src_env(),
     )
     assert proc.returncode == 0, proc.stderr

@@ -7,6 +7,12 @@ recorded before emit became the only writer of artifacts.  Any change to
 circuit semantics, RNG consumption order, the censored-sample contract or
 artifact formatting changes at least one of them.  Every call runs in its
 own working directory with relative paths, so run.json is reproducible.
+
+The two sweep.csv hashes were re-recorded when the linear fit moved to
+exact integer moments: only the slope, intercept, r_squared and rho cells
+moved (by up to a few hundred ULP), and they now read the same on every
+Python version, where the float sums of the earlier fit printed other last
+digits from Python 3.12 on.
 """
 
 import hashlib
@@ -54,7 +60,7 @@ GOLDENS = {
          "--min-samples", "100"],
         {
             "sweep.csv":
-                "43e428e2a7929f64701ab633a23baed46149b1033478656cf5338a53068643e9",
+                "6a7ca3621eb27979a07fe57bc97d677cdfc4d220c768e0cd97ec85e2c51920f4",
             "transition.json":
                 "e8033ffac99e42a685993f61032d4aa72b7990fb18fa067f6afdc926bfec3fae",
             "run.json":
@@ -68,7 +74,7 @@ GOLDENS = {
          "--seed", "2027"],
         {
             "sweep.csv":
-                "cf0c8e045ccea564ae62380483fef4e0161057c3c593dfec7fa5cb4fc6e01353",
+                "b0821adeb06bea6467ef261c1444dd1352eecb4130718611f0dac73d6c3063a0",
             "transition.json":
                 "77d19af885130b3899d29c900c38bfc58aa7fe9fc766c0f9124bf381de6380d1",
         },
