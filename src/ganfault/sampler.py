@@ -16,13 +16,19 @@ experiment are independent.
 
 Trials run in passes of one aligned seed block (:func:`_seed_words`), and
 the trials of a pass that its first candidate leaves open (see below) walk
-the chunks of the determinism contract together.  For each chunk, each
-open trial draws its words with the generator's ``random_raw``, a group
-of trials at a time; the inputs and flip uniforms are read out of them
-exactly as numpy's ``integers`` and ``random`` would draw them, and flips,
-the unreachable-target screen, evaluation and the accept test run as
-arrays over the group, whose raw words are then dropped.  A trial leaves
-the pass once settled; :func:`run_trial` is the same loop on one generator.
+the chunks of the determinism contract together.  In a target search each
+of them first draws its target from one word of its stream, and the
+unreachable-target screen (below) runs once over every target of the
+walk, before the first chunk.  For each chunk, each open trial draws its
+words with the generator's ``random_raw``, a group of trials at a time;
+the inputs and flip uniforms are read out of them exactly as numpy's
+``integers`` and ``random`` would draw them, and flips, evaluation and the
+accept test run as arrays over the group, whose raw words are then
+dropped.  Each open trial's target, buffered half and open radii live in
+per-walk arrays indexed by its position in the walk, as settled results
+live in the run's columns: a group reads and writes them at its
+positions.  A trial leaves the walk once settled; :func:`run_trial` is the
+same loop on one generator.
 
 One kind of trial finishes on its own.  In this gate set a bijection is
 ``x ^ C0``: a binary gate writes one bit to both positions of its pair, so
@@ -77,24 +83,27 @@ one bit pair, so the circuit evaluates there with its masks moved up as
 far (:meth:`Circuit.evaluate_batch`); the target and the flip masks move
 up with them, a target search folds its target into the circuit's
 constant term, and the accept test reads the lanes as they are.  Only
-settled outputs and the first chunk's screen shift back down.  Width 64
-fills its lane; its inputs are assembled from a high and a low half.
+settled outputs and the screened targets shift back down.  Width 64 fills
+its lane; its inputs are assembled from a high and a low half.
 
 Unreachable targets are skipped, radius by radius.  Every gate acts
 inside one aligned bit pair, inputs are uniform and flip noise keeps them
 uniform, so a target can be accepted at radius K exactly when its distance
-to the nearest output of the faulty circuit is within K.  At every radius
-below that distance the target is censored before any candidate is
-examined: its sample reports the full ``max_iterations`` and, as ``re``,
-that nearest output; the trial keeps drawing for the larger radii.  A
-radius that every target lies within of an output
+to the nearest output of the faulty circuit is within K.  So once the
+targets are drawn, before the first chunk, every target is screened: at
+every radius below that distance it is censored before any candidate is
+examined, and its sample reports the full ``max_iterations`` and, as
+``re``, that nearest output.  A trial keeps drawing for the larger radii;
+one with no radius left draws no chunk, and its generator stands one word
+on, past its target.  A radius that every target lies within of an output
 (``Circuit.covering_radius``) needs no check.
 
 Determinism contract: trial t draws from the substream
 ``default_rng(SeedSequence(entropy=seed, spawn_key=(t,)))`` and consumes
-it in a fixed order (target first in TARGET_SEARCH, then candidate chunks
-of sizes 8, 64, 512, 4096, 8192, 8192, ...; each chunk draws its inputs,
-then one block of width uniforms per perturbation fault).  A trial's result
+it in a fixed order (target first in TARGET_SEARCH, from one word, then
+candidate chunks of sizes 8, 64, 512, 4096, 8192, 8192, ...; each chunk
+draws its inputs, then one block of width uniforms per perturbation
+fault).  A trial's result
 therefore depends only on the configuration and its index.  The seed
 words of that substream are derived exactly as ``SeedSequence`` derives
 them, but for an aligned block of trials at once (:func:`_seed_words`);
@@ -142,9 +151,9 @@ _SEED_BLOCK = 1 << 13
 # Raw words one group of trials holds at a time, in one ``random_raw`` call
 # or in its two arrays of candidates (:func:`_layout`).
 _GROUP_WORDS = 1 << 15
-# Kinds of a chunk's draws besides flip uniforms, whose kind is a slice of
+# The kind of a chunk's input segment; a flip segment's kind is a slice of
 # the flip faults (:func:`_layout`).
-_TARGET, _INPUTS = -2, -1
+_INPUTS = -1
 # numpy's SeedSequence (numpy/random/bit_generator.pyx).
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -601,16 +610,29 @@ def _inputs(
     return values, left
 
 
+def _targets(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Each trial's target, from the one stream word it is drawn from.
+
+    The target is one input (:func:`_inputs`) with its bits below cleared,
+    as a reference is compared; also returns the 32-bit half its word
+    leaves buffered (None above 32 bits).  At 64 bits the target is the
+    word's low half above its high half.
+    """
+    target, half = _inputs(words.reshape(-1, 1), width, 1, None)
+    shift = _lane(width) - width
+    return target[:, 0] >> shift << shift, half
+
+
 @functools.lru_cache(maxsize=64)
-def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
+def _layout(width: int, n: int, flips: int, buffered: bool):
     """How each open trial draws one chunk of ``n`` candidates.
 
     Returns the ``random_raw`` calls, the open trials per group, and whether
     a 32-bit half is buffered afterwards (``buffered``: before).  A call is
     its length in words and its segments ``(kind, start, stop, lo, hi)``:
-    words lo..hi hold the target (kind ``_TARGET``), the inputs
-    (``_INPUTS``) or the uniforms of the flip faults in slice ``kind`` for
-    candidates start..stop.  An input of width w <= 32 takes a 32-bit half,
+    words lo..hi hold the inputs (kind ``_INPUTS``) or the uniforms of the
+    flip faults in slice ``kind`` for candidates start..stop.  The first
+    segment is the inputs.  An input of width w <= 32 takes a 32-bit half,
     a wider one a word (two halves at w = 64), a flip uniform a word.  A
     call holds at most ``_GROUP_WORDS`` words, so a large chunk's flip
     uniforms come in pieces of whole candidates, and so does a group of
@@ -619,8 +641,7 @@ def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
     """
     piece = min(n, _GROUP_WORDS // width)  # candidates per flip segment
     per = _GROUP_WORDS // (piece * width)  # faults per flip segment
-    draws = [(_TARGET, 0, 1)] if target else []
-    draws.append((_INPUTS, 0, n))
+    draws = [(_INPUTS, 0, n)]
     draws += [(slice(f, min(f + per, flips)), a, min(a + piece, n))
               for f in range(0, flips, per) for a in range(0, n, piece)]
     calls: list[list[tuple]] = []
@@ -641,11 +662,6 @@ def _layout(width: int, n: int, flips: int, target: bool, buffered: bool):
     sized = tuple((call[-1][4], tuple(call)) for call in calls)
     rows = _GROUP_WORDS // max(max(w for w, _ in sized), n * _lane(width) // 32)
     return sized, max(1, rows), buffered
-
-
-def _take(arrays: tuple, index) -> tuple:
-    """Each array's rows at ``index``; a None stays None."""
-    return tuple(None if a is None else a[index] for a in arrays)
 
 
 def _columns(radii: int, trials: int) -> dict[str, np.ndarray]:
@@ -670,9 +686,8 @@ def _draw(
     width: int,
     n: int,
     limits: np.ndarray,
-    target: np.ndarray | None,
     half: np.ndarray | None,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One chunk for a group of trials, drawn as :func:`_layout` lays it out.
 
     Each call's words are drawn with ``random_raw`` and read by
@@ -683,7 +698,7 @@ def _draw(
         .reshape(len(rngs), words)
         for words, _ in calls
     )
-    return _decode(raws, calls, width, n, limits, target, half)
+    return _decode(raws, calls, width, n, limits, half)
 
 
 def _decode(
@@ -692,30 +707,25 @@ def _decode(
     width: int,
     n: int,
     limits: np.ndarray,
-    target: np.ndarray | None,
     half: np.ndarray | None,
-) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """The draws of one chunk, from each call's raw words in ``raws``.
 
-    Returns each trial's target (drawn in this chunk or passed in), the
-    32-bit half it leaves buffered, its candidates, and its candidates with
-    its flips applied, all left-aligned in their lanes (:func:`_inputs`);
-    only the target has its bits below cleared.
+    Returns each trial's 32-bit half left buffered after the chunk, its
+    candidates, and its candidates with its flips applied, all left-aligned
+    in their lanes (:func:`_inputs`).
     """
     shift = _lane(width) - width
     for raw, (_, segments) in zip(raws, calls):
         for kind, start, stop, lo, hi in segments:
-            if kind == _TARGET:
-                target, half = _inputs(raw[:, lo:hi], width, 1, half)
-                target = target[:, 0] >> shift << shift  # zeros below a reference
-            elif kind == _INPUTS:
+            if kind == _INPUTS:
                 gs, half = _inputs(raw[:, lo:hi], width, n, half)
                 flipped = gs.copy() if len(limits) else gs
             else:
                 flipped[:, start:stop] ^= _flip_masks(
                     raw[:, lo:hi], width, limits[kind], shift
                 )
-    return target, half, gs, flipped
+    return half, gs, flipped
 
 
 def _walk_alone(
@@ -767,13 +777,14 @@ def _run_trials(
     ``rngs`` maps column t of ``cols`` (:func:`_columns`) to its trial's
     generator, columns in ascending order; ``radii`` are sorted and
     distinct, and the trial's sample at radius ``radii[j]`` is written to
-    ``cols[j, t]``.  The trials walk the chunks together.  In each chunk
-    every open trial draws its words with ``random_raw`` (:func:`_layout`),
-    and a group of trials at a time is flipped, screened (first chunk
-    only), evaluated and accepted as arrays, on the inputs left-aligned in
-    their raw lanes: the circuits evaluate there (``shift``), a target
-    search folds each target into the constant term, and only settled
-    values are shifted back down.
+    ``cols[j, t]``.  In a target search every trial first draws its target
+    from one word (:func:`_targets`), and every target is screened at once.
+    The trials then walk the chunks together.  In each chunk every open
+    trial draws its words with ``random_raw`` (:func:`_layout`), and a
+    group of trials at a time is flipped, evaluated and accepted as arrays,
+    on the inputs left-aligned in their raw lanes: the circuits evaluate
+    there (``shift``), a target search folds each target into the constant
+    term, and only settled values are shifted back down.
 
     A trial's open radii are the range ``lo..hi``.  The screen raises
     ``lo`` past every radius below the target's distance to the nearest
@@ -782,17 +793,19 @@ def _run_trials(
     end of the budget every open radius is censored at the last candidate.
     A trial leaves once its range is empty, so each trial's stream is walked
     once for every radius.  Open trials have drawn the same chunks, so they
-    share each chunk's layout; only the value of a buffered half differs,
-    and it is carried as an array.  In a target search without flips on a
-    bijection of 14 to 63 bits, a trial left with radius 0 alone (``lo`` 0,
-    ``hi`` 1) leaves after its chunk and finishes its stream in
-    :func:`_walk_alone`, which looks for the preimage ``target ^ C0``.
+    share each chunk's layout; only the value of a buffered half differs.
+    A trial's state lives in per-walk arrays indexed by its walk position:
+    its column, generator, target, buffered half and ``lo``/``hi``; a group
+    reads and writes them at its positions, and ``walking`` holds the
+    positions still open.  In a target search without flips on a bijection
+    of 14 to 63 bits, a trial left with radius 0 alone (``lo`` 0, ``hi`` 1)
+    leaves after its chunk and finishes its stream in :func:`_walk_alone`,
+    which looks for the preimage ``target ^ C0``.
     """
     width, budget = cfg.width, cfg.max_iterations
     search = cfg.mode is ComparisonMode.TARGET_SEARCH
     limits = _flip_limits(perturbations(cfg.faults))
     ks = np.array(radii, dtype=np.uint8)
-    screen = search and faulty.covering_radius > radii[0]
     # A bijection is x ^ C0 here: a pair with a binary gate outputs (g, g).
     # At radius 0 it accepts one draw in 2**width, so a trial walks alone
     # only where it expects to read at least a block of inputs (w >= 14):
@@ -802,36 +815,38 @@ def _run_trials(
              and 1 << width >= block and faulty.covering_radius == 0)
     c0 = faulty._form[1]
     shift = _lane(width) - width
-    trials, targets, halves = np.array(list(rngs), dtype=np.intp), None, None
+    trials, gens = np.array(list(rngs), dtype=np.intp), list(rngs.values())
     lo, hi = np.zeros_like(trials), np.full_like(trials, len(radii))
-    drawn, size, buffered = 0, _CHUNK_FIRST, False
-    while len(trials):
+    targets, halves = None, np.zeros(len(trials), dtype=np.uint32)
+    buffered = False
+    if search:
+        words = np.fromiter(
+            (rng.bit_generator.random_raw() for rng in gens), np.uint64, len(gens)
+        )
+        targets, half = _targets(words, width)
+        if half is not None:
+            halves, buffered = half, True
+        if faulty.covering_radius > radii[0]:
+            distance, nearest = faulty.nearest(targets >> shift)
+            lo = np.searchsorted(ks, distance)
+            rs, js = np.nonzero(np.arange(len(radii)) < lo[:, None])
+            _settle(cols, (js, trials[rs]), nearest[rs], targets[rs] >> shift,
+                    budget, False)
+    walking = np.flatnonzero(lo < hi)
+    drawn, size = 0, _CHUNK_FIRST
+    while len(walking):
         n = min(size, budget - drawn)
         last = drawn + n == budget
-        calls, rows, buffered = _layout(
-            width, n, len(limits), search and not drawn, buffered
-        )
-        kept = []
-        for g in range(0, len(trials), rows):
-            ts, target, half, los, his = _take(
-                (trials, targets, halves, lo, hi), slice(g, g + rows)
-            )
-            gens = [rngs[t] for t in ts.tolist()]
-            target, half, gs, flipped = _draw(
-                gens, calls, width, n, limits, target, half
-            )
-            if screen and not drawn:
-                distance, nearest = faulty.nearest(target >> shift)
-                los = np.searchsorted(ks, distance)
-                rs, js = np.nonzero(np.arange(len(radii)) < los[:, None])
-                _settle(cols, (js, ts[rs]), nearest[rs], target[rs] >> shift,
-                        budget, False)
-                ts, target, half, gs, flipped, los, his = _take(
-                    (ts, target, half, gs, flipped, los, his), los < his
-                )
-                if not len(ts):
-                    continue
+        calls, rows, left = _layout(width, n, len(limits), buffered)
+        for g in range(0, len(walking), rows):
+            at = walking[g : g + rows]
+            los, his = lo[at], hi[at]
+            half, gs, flipped = _draw([gens[p] for p in at.tolist()], calls, width,
+                                      n, limits, halves[at] if buffered else None)
+            if left:
+                halves[at] = half
             if search:
+                target = targets[at]
                 diff = faulty.evaluate_batch(flipped.ravel(), shift, target)
             else:
                 modulated = faulty.evaluate_batch(flipped.ravel(), shift).reshape(gs.shape)
@@ -839,9 +854,9 @@ def _run_trials(
                 diff = modulated ^ reference
             # Row rs[i] settles radius js[i] at candidate first[i] if ok[i],
             # else, at the end of the budget, at the last candidate.  The
-            # group's open radii are glo..ghi: lo is 0 unless screened, and
-            # the first row has the largest hi.
-            glo, ghi = los.min() if screen else 0, his[0]
+            # group's open radii are glo..ghi; the first row has the
+            # largest hi.
+            glo, ghi = los.min(), his[0]
             if ghi - glo == 1:
                 # Every row has the one radius glo open.  A hit scores 0, so a
                 # row's first minimum is its first hit if it has one.  At
@@ -849,9 +864,9 @@ def _run_trials(
                 score = diff if radii[glo] == 0 else np.bitwise_count(diff) > ks[glo]
                 first = score.argmin(axis=1)
                 hit = score[np.arange(len(first)), first] == 0
-                settled = hit | last
-                rs, keep = np.flatnonzero(settled), ~settled
+                rs = np.flatnonzero(hit | last)
                 js, ok, first = glo, hit[rs], first[rs]
+                hi[at[rs]] = glo
             else:
                 # Row r hits radius js[c] when its nearest candidate is
                 # within it; only the rows that settle look for the first.
@@ -862,41 +877,31 @@ def _run_trials(
                 rs, cs = np.nonzero(open_ & (hit | last))
                 js, ok = js[cs], hit[rs, cs]
                 first = (dist[rs] <= ks[js, None]).argmax(axis=1)
-                his = los + (open_ & ~hit).sum(axis=1)
-                keep = (his > los) & (not last)
+                hi[at] = los if last else los + (open_ & ~hit).sum(axis=1)
             if len(rs):
-                at = np.where(ok, first, n - 1)
+                i = np.where(ok, first, n - 1)
                 if search:
                     im = target[rs]
-                    re = diff[rs, at] ^ im
+                    re = diff[rs, i] ^ im
                 else:
-                    re, im = modulated[rs, at], reference[rs, at]
-                _settle(cols, (js, ts[rs]), re >> shift, im >> shift, at + drawn + 1, ok)
-                ts, target, half, los, his = _take((ts, target, half, los, his), keep)
-            if alone and len(ts):
-                # Rows whose only open radius is 0 finish their streams alone.
-                solo = his == 1
-                for r in np.flatnonzero(solo).tolist():
-                    t, im = int(ts[r]), int(target[r]) >> shift
-                    held = None if half is None else int(half[r])
-                    at, value = _walk_alone(
-                        rngs[t], held, im ^ c0, width, budget - drawn - n
-                    )
-                    _settle(cols, (0, t), value ^ c0, im, drawn + n + at + 1,
+                    re, im = modulated[rs, i], reference[rs, i]
+                _settle(cols, (js, trials[at[rs]]), re >> shift, im >> shift,
+                        i + drawn + 1, ok)
+            if alone:
+                # Trials whose only open radius is 0 finish their streams alone.
+                for p in at[hi[at] == 1].tolist():
+                    t, im = int(trials[p]), int(targets[p]) >> shift
+                    i, value = _walk_alone(gens[p], int(halves[p]) if left else None,
+                                           im ^ c0, width, budget - drawn - n)
+                    _settle(cols, (0, t), value ^ c0, im, drawn + n + i + 1,
                             value ^ c0 == im)
-                ts, target, half, los, his = _take((ts, target, half, los, his), ~solo)
-            kept.append((ts, target, half, los, his))
-        if not kept:  # every target was screened out
-            break
-        trials, targets, halves, lo, hi = (
-            None if parts[0] is None else np.concatenate(parts) for parts in zip(*kept)
-        )
+                    hi[p] = 0
+        buffered = left
+        walking = walking[lo[walking] < hi[walking]]
         if len(radii) > 1:
             # Falling hi: a group's first row has its largest, and trials
             # left with one radius share groups.
-            trials, targets, halves, lo, hi = _take(
-                (trials, targets, halves, lo, hi), np.argsort(-hi, kind="stable")
-            )
+            walking = walking[np.argsort(-hi[walking], kind="stable")]
         drawn += n
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
 
@@ -905,37 +910,37 @@ def _run_trials(
 def _first_layout(width: int, n: int, flips: int, target: bool):
     """The stream words a trial's first candidate reads, and their layout.
 
-    These are the words that hold the first chunk's target and candidate 0's
-    input (:func:`_layout`) and, for each flip fault, candidate 0's
-    ``width`` uniforms.  An input of w <= 32 bits is a 32-bit half, and the
-    target's and candidate 0's share word 0; one of 33..63 bits is a word,
-    after the target's; at 64 bits candidate 0 is halves 0 and n of its
-    segment, in its words 0 and n // 2, after the target's word.  Returns
-    their stream indices, their positions in one call, and that call: the
-    chunk's target and input segments as they are, whose other words stay
+    These are, in a target search, the target's word (word 0,
+    :func:`_targets`), then the words of the first chunk (:func:`_layout`)
+    that hold candidate 0's input and, for each flip fault, its ``width``
+    uniforms.  An input of w <= 32 bits is a 32-bit half: after a target it
+    is the half the target's word left buffered, which takes no word of the
+    chunk, and otherwise the chunk's word 0 holds it.  One of 33..63 bits
+    is the chunk's word 0; at 64 bits candidate 0 is halves 0 and n of its
+    segment, in the chunk's words 0 and n // 2.  Returns their stream
+    indices, the positions of the chunk's words among them in one call, and
+    that call: the chunk's input segment as it is, whose other words stay
     zero and decode to candidates that are not evaluated, then one flip
     segment of every fault for candidate 0 alone.  At most
     ``_FIRST_FLIP_WORDS`` uniforms per candidate keep the chunk one call
     with one flip segment, which starts at candidate 0.
     """
-    ((_, segments),), _, _ = _layout(width, n, flips, target, False)
-    heads = tuple(s for s in segments if not isinstance(s[0], slice))
-    start = int(target)  # the input segment's first word
-    if width <= 32:
-        index = [0]
-    elif width < 64:
-        index = list(range(start + 1))
+    start = int(target)  # the chunk's first stream word
+    buffered = target and width <= 32
+    ((_, (head, *segments)),), _, _ = _layout(width, n, flips, buffered)
+    if width < 64:
+        index = [] if buffered else [0]
     else:
-        index = sorted({0, start, start + n // 2})
-    size = heads[-1][4]
+        index = sorted({0, n // 2})
+    size = head[4]
     total = size + flips * width
-    pos = np.array(index + list(range(size, total)))
+    pos = np.array(index + list(range(size, total)), dtype=np.intp)
     pos.flags.writeable = False  # cached: every caller gets this array
-    for _, _, stop, lo, _ in segments[len(heads):]:
+    for _, _, stop, lo, _ in segments:
         for word in range(lo, lo + flips * stop * width, stop * width):
             index += range(word, word + width)
     flip = ((slice(0, flips), 0, 1, size, total),) if flips else ()
-    return tuple(index), pos, ((total, heads + flip),)
+    return (*[0] * start, *(start + w for w in index)), pos, ((total, (head, *flip)),)
 
 
 def _first_hits(
@@ -972,9 +977,10 @@ def _first_hits(
     hits = []
     for g in range(0, len(seeds), rows):
         group = words[g : g + rows]
+        target, half = _targets(group[:, 0], width) if search else (None, None)
         raw = np.zeros((len(group), calls[0][0]), dtype=np.uint64)
-        raw[:, pos] = group
-        target, _, gs, flipped = _decode((raw,), calls, width, n, limits, None, None)
+        raw[:, pos] = group[:, int(search):]
+        _, gs, flipped = _decode((raw,), calls, width, n, limits, half)
         re = faulty.evaluate_batch(flipped[:, 0], shift)
         im = target if search else ideal.evaluate_batch(gs[:, 0], shift)
         hit = np.bitwise_count(re ^ im) <= radius
@@ -1004,7 +1010,7 @@ def run_trial(
     count.  A target that no output of ``faulty`` lies within epsilon of
     is censored at once, without examining a candidate: its sample carries
     the nearest output (:meth:`Circuit.nearest`) as ``re`` and the full
-    iteration count.
+    iteration count, and ``rng`` is left one word on, past the target.
     """
     cols = _columns(1, 1)
     radius = max_acceptable_distance(cfg.width, cfg.epsilon)
@@ -1030,10 +1036,11 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
     radius 0 alone finishes its stream by itself, comparing raw inputs with
     the target's preimage (:func:`_walk_alone`).  Raw words are drawn and
     dropped a group or a block at a time, so a pass keeps only each open
-    trial's generator, target, buffered half and open radii.  Each level is its radius's row of
-    the columns with its own epsilon and label, held once (:func:`_level`):
-    levels that share a radius share that row's arrays, so the run holds
-    25 B per trial and distinct radius, however many levels map to them.
+    trial's generator, target, buffered half and open radii, in per-walk
+    arrays.  Each level is its radius's row of the columns with its own
+    epsilon and label, held once (:func:`_level`): levels that share a
+    radius share that row's arrays, so the run holds 25 B per trial and
+    distinct radius, however many levels map to them.
     """
     for eps in epsilons:
         replace(cfg, epsilon=eps).validate()

@@ -175,7 +175,7 @@ def test_perturb_consumes_exactly_width_draws():
     # Each flip fault draws one uniform per bit of every value in the batch,
     # value by value, and reads it as numpy's random() does.
     probs = (0.3, 0.0, 1.0)
-    calls, _, _ = sampler._layout(6, 5, len(probs), False, False)
+    calls, _, _ = sampler._layout(6, 5, len(probs), False)
     flips = [seg for _, segs in calls for seg in segs if isinstance(seg[0], slice)]
     assert sum(hi - lo for *_, lo, hi in flips) == 3 * 5 * 6
     a = np.random.default_rng(11)

@@ -29,6 +29,9 @@ CIRCUITS = {
     "andnot16": Circuit(
         16, [pair_layer(GateKind.AND, 16), unary_layer(GateKind.NOT, 16)]
     ),
+    "andnot64": Circuit(
+        64, [pair_layer(GateKind.AND, 64), unary_layer(GateKind.NOT, 64)]
+    ),
 }
 
 # (circuit or None, argv without --ckt and --out, {artifact: sha256})
@@ -90,6 +93,30 @@ GOLDENS = {
         {
             "samples.csv":
                 "e72f7ebb994d78d306564dc081e4a852197d5d1129635e05893b9a092b66d216",
+        },
+    ),
+    # The one width-64 output pinned here: each target is built from the two
+    # 32-bit halves of one word, and every candidate draws 64 flip uniforms.
+    "andnot64-simulate-target-search": (
+        "andnot64",
+        ["simulate", "--fault", "reverse:L1.S1,flip:0.05", "--mode", "target-search",
+         "--eps", "0.375", "--trials", "200", "--max-iterations", "2000",
+         "--seed", "2031"],
+        {
+            "samples.csv":
+                "abc3b1b0932a7273945d409262de386e153686510f7cbeaf3db1f8baf9636ec0",
+        },
+    ),
+    # The benchmark's andnot16 sweep at a small size, default grid: at
+    # epsilon 0 and 0.05 the unreachable-target screen censors 298 of the
+    # 300 trials before they draw a candidate.
+    "andnot16-sweep-screened": (
+        "andnot16",
+        ["sweep", "--fault", "reverse:L1.S1", "--mode", "target-search",
+         "--trials", "300", "--max-iterations", "5000", "--seed", "2032"],
+        {
+            "sweep.csv":
+                "1e7557783b4aa64f97c643326ac891a7b124f4f3181f185ba6304cd45689d8f7",
         },
     ),
     # N = 16, so spectrum.json also holds the completeness rows.

@@ -568,10 +568,10 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
             second[t] = rng.bit_generator.state["state"], half
         return t
 
-    def capturing(rngs, calls, width, n, limits, target, half):
+    def capturing(rngs, calls, width, n, limits, half):
         for row, rng in enumerate(rngs):
             enter(rng, None if half is None else int(half[row]))
-        return draw(rngs, calls, width, n, limits, target, half)
+        return draw(rngs, calls, width, n, limits, half)
 
     def walking(rng, half, preimage, width, n):
         walked.add(enter(rng, half))
@@ -860,7 +860,7 @@ def test_budget_exhaustion_is_flagged_not_raised():
         assert 0 <= s.re <= 30 and 0 <= s.im <= 30
 
 
-def test_unreachable_targets_are_censored_without_drawing():
+def test_unreachable_targets_are_censored_without_drawing(monkeypatch):
     # AND pairs then NOT, one device reversed: most 8-bit targets have no
     # preimage, and flip noise keeps the inputs uniform.
     cfg = _config(
@@ -872,16 +872,35 @@ def test_unreachable_targets_are_censored_without_drawing():
         seed=41,
         max_iterations=64,
     )
+    issued, drew = {}, set()
+
+    def tracking(seed, trial):
+        issued[trial] = trial_rng(seed, trial)  # held, so each id stays unique
+        return issued[trial]
+
+    def recording(rngs, *args):
+        owner = {id(rng): t for t, rng in issued.items()}
+        drew.update(owner[id(rng)] for rng in rngs)
+        return draw(rngs, *args)
+
+    draw = sampler._draw
+    monkeypatch.setattr(sampler, "trial_rng", tracking)
+    monkeypatch.setattr(sampler, "_draw", recording)
     faulty = inject_all(cfg.circuit, cfg.faults)
     samples = run_experiment(cfg)
     skipped = 0
     # The same trials without screening draw every candidate.
-    for s, unscreened in zip(samples, _per_trial(cfg, screen=False)):
+    for t, (s, unscreened) in enumerate(zip(samples, _per_trial(cfg, screen=False))):
         distance, nearest = faulty.nearest(s.im >> 1)
         if distance > 0:
             skipped += 1
             assert (s.iterations, s.accepted, s.re) == (64, False, nearest << 1)
             assert not unscreened.accepted and unscreened.iterations == 64
+            # A screened trial reads its target's word and draws no chunk.
+            want = trial_rng(cfg.seed, t).bit_generator
+            want.advance(1)
+            assert issued[t].bit_generator.state == want.state, t
+            assert t not in drew, t
         else:
             assert s == unscreened
     assert 0 < skipped < len(samples)
