@@ -39,12 +39,11 @@ trial whose only open radius is 0 there leaves the group walk after its
 chunk and reads the rest of its stream alone (:func:`_walk_alone`),
 comparing raw input lanes with that preimage and evaluating nothing.
 Without flip uniforms between them, a stream's inputs follow each other
-word by word, so which word becomes which candidate does not depend on the
-chunk sizes, and the walk may draw in blocks of its own.  Width 64 is the
-exception, since a chunk assembles those inputs from n high halves and then
-n low halves; it keeps the group walk.  So do widths below 14, where a
-trial expects a hit within fewer inputs than one block of the walk holds
-and the group's next chunk settles it for less.
+half by half or word by word, so which word becomes which candidate does
+not depend on the chunk sizes, and the walk may draw in blocks of its own.
+Widths below 14 keep the group walk: there a trial expects a hit within
+fewer inputs than one block of the walk holds, and the group's next chunk
+settles it for less.
 
 One walk serves every uncertainty level of a sweep (:func:`run_levels`).
 Each level reuses trial t's stream, and its sample at accept radius K is
@@ -75,16 +74,16 @@ every radius; only the trials left open get a generator and walk the chunk
 loop from their first word.  The pass is skipped when a candidate draws
 more than ``_FIRST_FLIP_WORDS`` flip uniforms.
 
-Inputs narrower than 64 bits are not decoded.  An input of w <= 32 bits
-is the top w bits of a 32-bit half of a raw word, one of 33..63 bits the
-top w bits of a word, so each stays in that lane (:func:`_lane`),
-``lane - w`` bits up, with random bits below it.  Every gate acts inside
-one bit pair, so the circuit evaluates there with its masks moved up as
-far (:meth:`Circuit.evaluate_batch`); the target and the flip masks move
-up with them, a target search folds its target into the circuit's
-constant term, and the accept test reads the lanes as they are.  Only
-settled outputs and the screened targets shift back down.  Width 64 fills
-its lane; its inputs are assembled from a high and a low half.
+Inputs are not decoded.  At every width w, inputs and targets are what
+numpy's ``integers(0, 2**w, dtype=np.uint64)`` draws: an input of w <= 32
+bits is the top w bits of a 32-bit half of a raw word, a wider one the top
+w bits of a word, so each stays in that lane (:func:`_lane`), ``lane - w``
+bits up, with random bits below it.  Every gate acts inside one bit pair,
+so the circuit evaluates there with its masks moved up as far
+(:meth:`Circuit.evaluate_batch`); the target and the flip masks move up
+with them, a target search folds its target into the circuit's constant
+term, and the accept test reads the lanes as they are.  Only settled
+outputs and the screened targets shift back down.
 
 Unreachable targets are skipped, radius by radius.  Every gate acts
 inside one aligned bit pair, inputs are uniform and flip noise keeps them
@@ -592,14 +591,12 @@ def _inputs(
     half is left).  For w <= 32 an input is the top w bits of a 32-bit half,
     the low half of a word first, after ``half``, the half an earlier draw
     left buffered; the halves are read in place, or copied behind ``half``
-    into a new array.  For 33 <= w <= 63 an input is the top
-    w bits of a word; at w = 64 a draw takes n high halves, then n low halves.
+    into a new array.  For w > 32 an input is the top w bits of a word,
+    read in place.
     """
-    if 32 < width < 64:
+    if width > 32:
         return raw, None
     halves = raw.astype("<u8", copy=False).view("<u4")
-    if width == 64:
-        return (halves[:, :n].astype(np.uint64) << np.uint64(32)) | halves[:, n:], None
     if half is None:
         values = halves[:, :n]
     else:
@@ -615,8 +612,7 @@ def _targets(words: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray | No
 
     The target is one input (:func:`_inputs`) with its bits below cleared,
     as a reference is compared; also returns the 32-bit half its word
-    leaves buffered (None above 32 bits).  At 64 bits the target is the
-    word's low half above its high half.
+    leaves buffered (None above 32 bits).
     """
     target, half = _inputs(words.reshape(-1, 1), width, 1, None)
     shift = _lane(width) - width
@@ -633,11 +629,11 @@ def _layout(width: int, n: int, flips: int, buffered: bool):
     words lo..hi hold the inputs (kind ``_INPUTS``) or the uniforms of the
     flip faults in slice ``kind`` for candidates start..stop.  The first
     segment is the inputs.  An input of width w <= 32 takes a 32-bit half,
-    a wider one a word (two halves at w = 64), a flip uniform a word.  A
-    call holds at most ``_GROUP_WORDS`` words, so a large chunk's flip
-    uniforms come in pieces of whole candidates, and so does a group of
-    trials: rows * max(call words, words of two arrays of n lanes) <=
-    ``_GROUP_WORDS``, or one row.
+    a wider one a word, a flip uniform a word.  A call holds at most
+    ``_GROUP_WORDS`` words, so a large chunk's flip uniforms come in pieces
+    of whole candidates, and so does a group of trials: rows * max(call
+    words, words of two arrays of n lanes) <= ``_GROUP_WORDS``, or one
+    row.
     """
     piece = min(n, _GROUP_WORDS // width)  # candidates per flip segment
     per = _GROUP_WORDS // (piece * width)  # faults per flip segment
@@ -690,33 +686,16 @@ def _draw(
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """One chunk for a group of trials, drawn as :func:`_layout` lays it out.
 
-    Each call's words are drawn with ``random_raw`` and read by
-    :func:`_decode`, one call at a time.
-    """
-    raws = (
-        np.concatenate([rng.bit_generator.random_raw(words) for rng in rngs])
-        .reshape(len(rngs), words)
-        for words, _ in calls
-    )
-    return _decode(raws, calls, width, n, limits, half)
-
-
-def _decode(
-    raws: Iterable[np.ndarray],
-    calls: tuple,
-    width: int,
-    n: int,
-    limits: np.ndarray,
-    half: np.ndarray | None,
-) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """The draws of one chunk, from each call's raw words in ``raws``.
-
-    Returns each trial's 32-bit half left buffered after the chunk, its
-    candidates, and its candidates with its flips applied, all left-aligned
-    in their lanes (:func:`_inputs`).
+    Each call's words are drawn with ``random_raw`` and read, one call at a
+    time.  Returns each trial's 32-bit half left buffered after the chunk,
+    its candidates, and its candidates with its flips applied, all
+    left-aligned in their lanes (:func:`_inputs`).
     """
     shift = _lane(width) - width
-    for raw, (_, segments) in zip(raws, calls):
+    for words, segments in calls:
+        raw = np.concatenate(
+            [rng.bit_generator.random_raw(words) for rng in rngs]
+        ).reshape(len(rngs), words)
         for kind, start, stop, lo, hi in segments:
             if kind == _INPUTS:
                 gs, half = _inputs(raw[:, lo:hi], width, n, half)
@@ -738,8 +717,8 @@ def _walk_alone(
     first; without flip uniforms between them, no chunk boundary moves one
     (see the module docstring).  They come in blocks of
     ``_FIRST_GROUP_WORDS`` words from ``random_raw``, read in place as
-    32-bit halves (w <= 32) or words (33 <= w <= 63), shifted down in place
-    and compared with ``preimage``.  Width 64 is not read this way.
+    32-bit halves (w <= 32) or words (w > 32), shifted down in place and
+    compared with ``preimage``.
     """
     shift = _lane(width) - width
     start = 0
@@ -798,7 +777,7 @@ def _run_trials(
     its column, generator, target, buffered half and ``lo``/``hi``; a group
     reads and writes them at its positions, and ``walking`` holds the
     positions still open.  In a target search without flips on a bijection
-    of 14 to 63 bits, a trial left with radius 0 alone (``lo`` 0, ``hi`` 1)
+    of 14 bits or more, a trial left with radius 0 alone (``lo`` 0, ``hi`` 1)
     leaves after its chunk and finishes its stream in :func:`_walk_alone`,
     which looks for the preimage ``target ^ C0``.
     """
@@ -811,8 +790,8 @@ def _run_trials(
     # only where it expects to read at least a block of inputs (w >= 14):
     # a narrower one is settled sooner by the group's next chunk.
     block = _FIRST_GROUP_WORDS * 64 // _lane(width)
-    alone = (search and not len(limits) and radii[0] == 0 and width < 64
-             and 1 << width >= block and faulty.covering_radius == 0)
+    alone = (search and not len(limits) and radii[0] == 0 and 1 << width >= block
+             and faulty.covering_radius == 0)
     c0 = faulty._form[1]
     shift = _lane(width) - width
     trials, gens = np.array(list(rngs), dtype=np.intp), list(rngs.values())
@@ -907,40 +886,25 @@ def _run_trials(
 
 
 @functools.lru_cache(maxsize=64)
-def _first_layout(width: int, n: int, flips: int, target: bool):
-    """The stream words a trial's first candidate reads, and their layout.
+def _first_layout(width: int, n: int, flips: int, target: bool) -> tuple[int, ...]:
+    """The stream indices of the words a trial's first candidate reads.
 
     These are, in a target search, the target's word (word 0,
     :func:`_targets`), then the words of the first chunk (:func:`_layout`)
     that hold candidate 0's input and, for each flip fault, its ``width``
     uniforms.  An input of w <= 32 bits is a 32-bit half: after a target it
     is the half the target's word left buffered, which takes no word of the
-    chunk, and otherwise the chunk's word 0 holds it.  One of 33..63 bits
-    is the chunk's word 0; at 64 bits candidate 0 is halves 0 and n of its
-    segment, in the chunk's words 0 and n // 2.  Returns their stream
-    indices, the positions of the chunk's words among them in one call, and
-    that call: the chunk's input segment as it is, whose other words stay
-    zero and decode to candidates that are not evaluated, then one flip
-    segment of every fault for candidate 0 alone.  At most
-    ``_FIRST_FLIP_WORDS`` uniforms per candidate keep the chunk one call
-    with one flip segment, which starts at candidate 0.
+    chunk, and otherwise the chunk's word 0 holds it.  A wider input is the
+    chunk's word 0.  At most ``_FIRST_FLIP_WORDS`` uniforms per candidate
+    keep the chunk one call, whose flip uniforms follow its inputs fault by
+    fault, n candidates of ``width`` words each.
     """
     start = int(target)  # the chunk's first stream word
     buffered = target and width <= 32
-    ((_, (head, *segments)),), _, _ = _layout(width, n, flips, buffered)
-    if width < 64:
-        index = [] if buffered else [0]
-    else:
-        index = sorted({0, n // 2})
-    size = head[4]
-    total = size + flips * width
-    pos = np.array(index + list(range(size, total)), dtype=np.intp)
-    pos.flags.writeable = False  # cached: every caller gets this array
-    for _, _, stop, lo, _ in segments:
-        for word in range(lo, lo + flips * stop * width, stop * width):
-            index += range(word, word + width)
-    flip = ((slice(0, flips), 0, 1, size, total),) if flips else ()
-    return (*[0] * start, *(start + w for w in index)), pos, ((total, (head, *flip)),)
+    ((_, (inputs, *_)),), _, _ = _layout(width, n, flips, buffered)
+    index = [] if buffered else [0]
+    index += (inputs[4] + f * n * width + b for f in range(flips) for b in range(width))
+    return (*[0] * start, *(start + w for w in index))
 
 
 def _first_hits(
@@ -957,20 +921,23 @@ def _first_hits(
     trial in column r of ``cols`` (:func:`_columns`), at most a seed block
     of them.  The words the first candidate reads (:func:`_first_layout`)
     are computed from them for every row at once, by stepping the streams
-    together (:func:`_stream_words`).  They are then decoded, flipped and
-    evaluated as the chunk loop would, left-aligned in their lanes, a group
-    of ``_FIRST_GROUP_WORDS`` words at a time, so that the decode's
-    temporaries stay small.  ``radius`` is the smallest of the rows' radii,
-    so a hit settles its column in every row, after one iteration,
-    accepted.  Returns which trials hit.  None hits when a candidate draws
-    more than ``_FIRST_FLIP_WORDS`` flip uniforms.
+    together (:func:`_stream_words`).  Candidate 0 is read from them as
+    the chunk loop would read it (:func:`_inputs`, after the half the
+    target's word left buffered), flipped by the uniforms' columns
+    (:func:`_flip_masks`) and evaluated, left-aligned in its lane, a group
+    of ``_FIRST_GROUP_WORDS`` words at a time, so that the temporaries stay
+    small.  ``radius`` is the smallest of the rows' radii, so a hit settles
+    its column in every row, after one iteration, accepted.  Returns which
+    trials hit.  None hits when a candidate draws more than
+    ``_FIRST_FLIP_WORDS`` flip uniforms.
     """
     width, search = cfg.width, cfg.mode is ComparisonMode.TARGET_SEARCH
     limits = _flip_limits(perturbations(cfg.faults))
     if len(limits) * width > _FIRST_FLIP_WORDS:
         return np.zeros(len(seeds), dtype=bool)
     n = min(_CHUNK_FIRST, cfg.max_iterations)
-    index, pos, calls = _first_layout(width, n, len(limits), search)
+    index = _first_layout(width, n, len(limits), search)
+    uniforms = len(index) - len(limits) * width  # column of the first flip uniform
     shift = _lane(width) - width
     words = _stream_words(seeds, index)
     rows = _FIRST_GROUP_WORDS // len(index)
@@ -978,11 +945,12 @@ def _first_hits(
     for g in range(0, len(seeds), rows):
         group = words[g : g + rows]
         target, half = _targets(group[:, 0], width) if search else (None, None)
-        raw = np.zeros((len(group), calls[0][0]), dtype=np.uint64)
-        raw[:, pos] = group[:, int(search):]
-        _, gs, flipped = _decode((raw,), calls, width, n, limits, half)
-        re = faulty.evaluate_batch(flipped[:, 0], shift)
-        im = target if search else ideal.evaluate_batch(gs[:, 0], shift)
+        gs = _inputs(group[:, int(search) : uniforms], width, 1, half)[0][:, 0]
+        flipped = gs
+        if len(limits):
+            flipped = gs ^ _flip_masks(group[:, uniforms:], width, limits, shift)[:, 0]
+        re = faulty.evaluate_batch(flipped, shift)
+        im = target if search else ideal.evaluate_batch(gs, shift)
         hit = np.bitwise_count(re ^ im) <= radius
         at = (slice(None), g + np.flatnonzero(hit))
         _settle(cols, at, re[hit] >> shift, im[hit] >> shift, 1, True)
@@ -1032,7 +1000,7 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
     (:func:`_first_hits`).  It then builds a generator for each trial left
     open and walks its stream once, from its first word, in the chunk loop
     of :func:`_run_trials`, for every radius at once; in a target search
-    without flips on a bijection of 14 to 63 bits, a trial left with
+    without flips on a bijection of 14 bits or more, a trial left with
     radius 0 alone finishes its stream by itself, comparing raw inputs with
     the target's preimage (:func:`_walk_alone`).  Raw words are drawn and
     dropped a group or a block at a time, so a pass keeps only each open

@@ -13,6 +13,11 @@ exact integer moments: only the slope, intercept, r_squared and rho cells
 moved (by up to a few hundred ULP), and they now read the same on every
 Python version, where the float sums of the earlier fit printed other last
 digits from Python 3.12 on.
+
+The andnot64 target-search hash was re-recorded when a 64-bit input became
+one raw word, exactly as numpy's ``integers(0, 2**64, dtype=np.uint64)``
+draws it, instead of a high and a low 32-bit half drawn apart: only width
+64 read its inputs that way, so only that golden moved.
 """
 
 import hashlib
@@ -32,6 +37,7 @@ CIRCUITS = {
     "andnot64": Circuit(
         64, [pair_layer(GateKind.AND, 64), unary_layer(GateKind.NOT, 64)]
     ),
+    "not64": Circuit(64, [unary_layer(GateKind.NOT, 64)]),
 }
 
 # (circuit or None, argv without --ckt and --out, {artifact: sha256})
@@ -95,8 +101,8 @@ GOLDENS = {
                 "e72f7ebb994d78d306564dc081e4a852197d5d1129635e05893b9a092b66d216",
         },
     ),
-    # The one width-64 output pinned here: each target is built from the two
-    # 32-bit halves of one word, and every candidate draws 64 flip uniforms.
+    # A width-64 target search on a lossy circuit: each target and input is
+    # one raw word, and every candidate draws 64 flip uniforms.
     "andnot64-simulate-target-search": (
         "andnot64",
         ["simulate", "--fault", "reverse:L1.S1,flip:0.05", "--mode", "target-search",
@@ -104,7 +110,20 @@ GOLDENS = {
          "--seed", "2031"],
         {
             "samples.csv":
-                "abc3b1b0932a7273945d409262de386e153686510f7cbeaf3db1f8baf9636ec0",
+                "b36b76fb8b3a5db9f29e2c25f380e068308df6ead61e70da8710f2d33ec2472d",
+        },
+    ),
+    # A 64-bit lone walk: on a bijection at epsilon 0, each trial reads its
+    # stream alone after the first chunk, in blocks of 8192 words, and its
+    # budget ends inside the third block, where every trial is censored.
+    "not64-simulate-lone-walk": (
+        "not64",
+        ["simulate", "--fault", "missing:L1.S1", "--mode", "target-search",
+         "--eps", "0", "--trials", "5", "--max-iterations", "20000",
+         "--seed", "2033"],
+        {
+            "samples.csv":
+                "01cdf328197ea48892eb75194a6e6949dde2b641a20108f5100944e6685c665d",
         },
     ),
     # The benchmark's andnot16 sweep at a small size, default grid: at

@@ -214,11 +214,11 @@ def _bijective_faults(width: int) -> tuple[tuple, ...]:
 def _walk_budgets(width: int) -> tuple[int, ...]:
     """Budgets that end inside, on the edge of and after several blocks of a lone walk.
 
-    At radius 0, a target search on a bijection of 14..63 bits without
+    At radius 0, a target search on a bijection of 14 bits or more without
     flips walks its stream alone after the first chunk of 8 inputs, in
     blocks of ``_FIRST_GROUP_WORDS`` words: two inputs a word at w <= 32,
-    after the half the first chunk left buffered, one at 33 <= w <= 63.
-    Narrower and 64-bit trials keep the group walk on the same budgets.
+    after the half the first chunk left buffered, one at w > 32.  Narrower
+    trials keep the group walk on the same budgets.
     """
     lanes = sampler._FIRST_GROUP_WORDS * (2 if width <= 32 else 1)
     edge = 8 + (width <= 32) + lanes
@@ -228,17 +228,20 @@ def _walk_budgets(width: int) -> tuple[int, ...]:
 def _first_hit_cases(width: int, **kwargs) -> list[ExperimentConfig]:
     """Runs in which, at epsilon 0.5, most trials accept their first candidate.
 
-    Fault-compare with a missing NOT, with and without a flip fault, and a
-    target search on AND pairs followed by XOR on every other pair, which
+    Fault-compare with a missing NOT, with no, one and two flip faults, and
+    a target search on AND pairs followed by XOR on every other pair, which
     leaves those pairs constant: targets more than half the width from every
     output are screened.  Budgets of one candidate and of one past the
-    first chunk.
+    first chunk.  At width 16 the two flip faults draw ``_FIRST_FLIP_WORDS``
+    uniforms per candidate, and the pass reads the second fault's by a jump
+    past the first's block; wider runs with flips skip the pass.
     """
     lossy = Circuit(width, [_circuit(width, p).layers[0]
                             for p in (_AND, (GateKind.XOR, GateKind.AND))])
     cases = []
     for budget in (1, 9):
-        for faults in ((Missing(2, 1),), (Missing(2, 1), InputPerturbation(0.3))):
+        for faults in ((Missing(2, 1),), (Missing(2, 1), InputPerturbation(0.3)),
+                       (Missing(2, 1), InputPerturbation(0.05), InputPerturbation(0.3))):
             cases.append(_config(circuit=_circuit(width, _AND), faults=faults,
                                  max_iterations=budget, **kwargs))
         cases.append(_config(circuit=lossy, mode=ComparisonMode.TARGET_SEARCH,
@@ -250,10 +253,6 @@ _BIT_WEIGHTS = np.uint64(1) << np.arange(64, dtype=np.uint64)
 
 
 def _draw_inputs(rng: np.random.Generator, n: int, width: int) -> np.ndarray:
-    if width == 64:
-        high = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-        low = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-        return (high << np.uint64(32)) | low
     return rng.integers(0, 1 << width, size=n, dtype=np.uint64)
 
 
@@ -315,8 +314,8 @@ def test_run_experiment_equals_the_per_trial_loop(width):
     # width puts each term of the circuits at a different offset; the
     # XOR/OR cases come after the others, which keep their epsilon,
     # trials and seed.  Last come target searches on bijections whose
-    # constant term is not all ones, without flips, which from width 14 to
-    # 63 walk their streams alone after the first chunk; their budgets end
+    # constant term is not all ones, without flips, which from width 14 on
+    # walk their streams alone after the first chunk; their budgets end
     # inside the first block of that walk, on its edge and after several
     # blocks.
     modes, flip_counts = ComparisonMode, (0, 1, 2)
@@ -373,7 +372,7 @@ def test_a_sweep_equals_one_experiment_per_level(width):
     # the three-level grids check a radius that no other level shares.
     # Last come target searches on bijections without flips, whose trials
     # walk their streams alone once radius 0 is their only open one (widths
-    # 14 to 63); these levels are checked against the per-trial loop too.
+    # 14 and up); these levels are checked against the per-trial loop too.
     grids = (DEFAULT_EPSILON_GRID, (0.0, 0.1, 0.2), (0.05, 0.3, 0.75))
     cases = [
         *((pairs, (), mode, flips, budget) for mode, flips, budget, pairs
@@ -602,10 +601,12 @@ def test_continuation_starts_where_the_first_chunk_left_the_generator(
 
 def test_only_radius_0_target_searches_on_bijections_walk_alone(monkeypatch):
     # A trial walks alone only at radius 0, in a target search without
-    # flips, on a bijection of 14 to 63 bits, where a hit takes at least a
-    # block of the walk.  Each case below misses one condition, and the
+    # flips, on a bijection of 14 bits or more, where a hit takes at least
+    # a block of the walk.  Each case below misses one condition, and the
     # andnot16 sweep of the benchmark all but the radius, so none may enter
-    # the walk; the not16 sweep does.
+    # the walk; the not16 sweep and a 64-bit search at epsilon 0 do.  The
+    # 13-bit and 64-bit runs have the one level epsilon 0, so radius 0 is
+    # every trial's only open radius from the start.
     def refused(*args):
         raise AssertionError("entered _walk_alone")
 
@@ -621,21 +622,25 @@ def test_only_radius_0_target_searches_on_bijections_walk_alone(monkeypatch):
         circuit=Circuit(16, [pair_layer(GateKind.AND, 16), unary_layer(GateKind.NOT, 16)]),
         faults=(ReversedPolarity(1, 1),),
     )
-    cases = (
-        replace(not16, circuit=_circuit(16, _AND), faults=(Missing(2, 1),)),  # lossy
-        replace(not16, faults=(*not16.faults, InputPerturbation(0.05))),
-        replace(not16, mode=ComparisonMode.FAULT_COMPARE),
-        replace(not16, circuit=_circuit(64), faults=(Missing(1, 1),)),
-        replace(not16, circuit=_circuit(13), faults=(Missing(1, 1),)),
-        andnot16,
-    )
     grid = DEFAULT_EPSILON_GRID
+    cases = (
+        (replace(not16, circuit=_circuit(16, _AND), faults=(Missing(2, 1),)), grid),  # lossy
+        (replace(not16, faults=(*not16.faults, InputPerturbation(0.05))), grid),
+        (replace(not16, mode=ComparisonMode.FAULT_COMPARE), grid),
+        (replace(not16, circuit=_circuit(13), faults=(Missing(1, 1),)), (0.0,)),
+        (andnot16, grid),
+    )
+    walking = (
+        (not16, grid),
+        (replace(not16, circuit=_circuit(64), faults=(Missing(1, 1),)), (0.0,)),
+    )
     with monkeypatch.context() as m:
         m.setattr(sampler, "_walk_alone", refused)
-        for cfg in cases:
-            sampler.run_levels(cfg, grid)
-        with pytest.raises(AssertionError, match="_walk_alone"):
-            sampler.run_levels(not16, grid)
+        for cfg, levels in cases:
+            sampler.run_levels(cfg, levels)
+        for cfg, levels in walking:
+            with pytest.raises(AssertionError, match="_walk_alone"):
+                sampler.run_levels(cfg, levels)
 
 
 @pytest.mark.parametrize(
@@ -798,18 +803,20 @@ def test_stream_words_equal_numpys_on_every_row_of_two_blocks():
 def test_stepped_first_candidate_words_equal_numpys_on_every_row_of_a_block():
     # A pass steps every stream of its seed block from one word to the
     # next.  Each index set a first-candidate pass reads: word 0 (w <= 32,
-    # target search), word 0 then 16 consecutive flip words (width 16, one
-    # flip fault), the target's and candidate 0's words (width 40), and
-    # the target's word and candidate 0's two halves (width 64).
-    indices = {
-        sampler._first_layout(16, 8, 0, True)[0],
-        sampler._first_layout(32, 8, 0, True)[0],
-        sampler._first_layout(16, 8, 1, False)[0],
-        sampler._first_layout(40, 8, 0, True)[0],
-        sampler._first_layout(64, 8, 0, True)[0],
-        sampler._first_layout(64, 8, 0, False)[0],
+    # target search, and width 64 without a target), word 0 then 16
+    # consecutive flip words (width 16, one flip fault), and the target's
+    # and candidate 0's words (widths 40 and 64).
+    layouts = {
+        (16, 8, 0, True): (0,),
+        (32, 8, 0, True): (0,),
+        (16, 8, 1, False): (0, *range(4, 20)),
+        (40, 8, 0, True): (0, 1),
+        (64, 8, 0, True): (0, 1),
+        (64, 8, 0, False): (0,),
     }
-    assert {(0,), (0, *range(4, 20)), (0, 1), (0, 1, 5), (0, 4)} <= indices
+    for args, index in layouts.items():
+        assert sampler._first_layout(*args) == index, args
+    indices = set(layouts.values())
     seed, block = 2**64 + 5, 1
     seeds = sampler._seed_words(seed, block)
     assert len(seeds) == sampler._SEED_BLOCK == 8192
