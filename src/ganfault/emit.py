@@ -171,18 +171,24 @@ def write_samples_csv(samples: Samples, destination) -> int:
 def read_samples_csv(source) -> Samples:
     """Inverse of :func:`write_samples_csv` (trial order preserved).
 
-    Malformed cells and rows of more than one level raise ``ValueError``.
+    A missing header, malformed cells, a trial cell that is not its row's
+    index 0, 1, ... and rows of more than one level raise ``ValueError``.
     """
     text = Path(source).read_text(encoding="utf-8")
     reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_HEADER:
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_HEADER:
         raise ValueError(f"unexpected CSV header: {header}")
-    return Samples.from_rows(
-        DeviationSample(int(re_), int(im), int(iters), _read_flag(accepted),
-                        float(eps), label)
-        for _, eps, re_, im, iters, accepted, label in reader
-    )
+    return Samples.from_rows(_read_row(t, row) for t, row in enumerate(reader))
+
+
+def _read_row(t: int, row: list[str]) -> DeviationSample:
+    """Row ``t`` of the samples, whose trial cell :func:`samples_to_csv` writes as ``t``."""
+    trial, eps, re_, im, iters, accepted, label = row
+    if trial != str(t):
+        raise ValueError(f"row {t}: trial must be {t}, got {trial!r}")
+    return DeviationSample(int(re_), int(im), int(iters), _read_flag(accepted),
+                           float(eps), label)
 
 
 def _read_flag(cell: str) -> bool:

@@ -62,6 +62,13 @@ columns are never turned into per-trial objects, levels that share a radius
 share them, and a level costs the same few objects at any trial count.
 A :class:`DeviationSample` is built only when a caller reads a row.
 
+A run decides once, before its first pass, how its trials are settled
+(:func:`_plan`): whether the first-candidate pass runs (the plan's
+``first``), whether targets are screened (``screen``) and whether trials
+left with radius 0 walk alone (``alone``).  The pass and the walk read
+those fields and decide nothing themselves; only which of a group's open
+radii a chunk tests is walk state, read group by group.
+
 Most trials of a high-epsilon run accept their first candidate, so a pass
 first settles those without a generator (:func:`_first_hits`).  numpy's
 PCG64 seeding, stepping, jump-ahead and XSL-RR output are reproduced as
@@ -163,7 +170,7 @@ _MASK32 = 0xFFFFFFFF
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 # Flip uniforms one candidate may draw for the first-candidate pass to run
-# (:func:`_first_hits`).  Stepped, a word costs the pass about 35 ns, and a
+# (:func:`_plan`).  Stepped, a word costs the pass about 35 ns, and a
 # trial the pass settles saves its generator and first chunk, 10-16 us: on
 # identity circuits at epsilon 1 (every trial settled by the pass, 8192
 # trials) the pass took 0.8 us a trial at width 16 with one flip fault,
@@ -712,6 +719,7 @@ def _walk_alone(
 ) -> tuple[int, int]:
     """The first of a trial's next ``n`` inputs equal to ``preimage``, or the n-th.
 
+    A trial walks here where its run's plan has ``alone`` set (:func:`_plan`).
     Returns its index among the n and its value.  The inputs are read as
     :func:`_inputs` reads them, ``half`` (the buffered 32-bit half, or None)
     first; without flip uniforms between them, no chunk boundary moves one
@@ -743,27 +751,70 @@ def _walk_alone(
             return n - 1, int(lanes[len(hit) - 1])
 
 
-def _run_trials(
-    cfg: ExperimentConfig,
-    faulty: Circuit,
-    ideal: Circuit,
-    rngs: dict[int, np.random.Generator],
-    radii: Sequence[int],
-    cols: dict,
-) -> None:
+class _Plan(NamedTuple):
+    """How a run settles its trials, decided once, before its first pass (:func:`_plan`).
+
+    The run's fixed inputs: the circuits, whether it is a target search,
+    its sorted distinct accept radii, its budget of candidates per trial
+    and the flip faults' limits (:func:`_flip_limits`).  Then what it does
+    with them: ``first`` holds the stream indices the first-candidate pass
+    reads (:func:`_first_layout`), or None where the pass is skipped;
+    ``screen`` says whether the targets are screened, and ``alone`` whether
+    a trial left with radius 0 alone walks alone (:func:`_walk_alone`).
+    """
+
+    faulty: Circuit
+    ideal: Circuit
+    search: bool
+    radii: Sequence[int]
+    budget: int
+    limits: np.ndarray
+    first: tuple[int, ...] | None
+    screen: bool
+    alone: bool
+
+
+def _plan(cfg: ExperimentConfig, faulty: Circuit, ideal: Circuit, radii: Sequence[int]) -> _Plan:
+    """The plan of a run of ``cfg`` at the sorted, distinct, non-empty ``radii``.
+
+    The first-candidate pass runs unless a candidate draws more than
+    ``_FIRST_FLIP_WORDS`` flip uniforms.  A target search screens its
+    targets unless every target lies within the smallest radius of an
+    output (``Circuit.covering_radius``).  A trial left with radius 0 alone
+    walks alone in a target search without flips on a bijection (covering
+    radius 0) of 14 bits or more.
+    """
+    width, search = cfg.width, cfg.mode is ComparisonMode.TARGET_SEARCH
+    limits = _flip_limits(perturbations(cfg.faults))
+    first = None
+    if len(limits) * width <= _FIRST_FLIP_WORDS:
+        first = _first_layout(width, min(_CHUNK_FIRST, cfg.max_iterations), len(limits), search)
+    # A bijection is x ^ C0 here: a pair with a binary gate outputs (g, g).
+    # At radius 0 it accepts one draw in 2**width, so a trial walks alone
+    # only where it expects to read at least a block of inputs (w >= 14):
+    # a narrower one is settled sooner by the group's next chunk.
+    block = _FIRST_GROUP_WORDS * 64 // _lane(width)
+    alone = (search and not len(limits) and radii[0] == 0 and 1 << width >= block
+             and faulty.covering_radius == 0)
+    return _Plan(faulty, ideal, search, radii, cfg.max_iterations, limits, first,
+                 search and faulty.covering_radius > radii[0], alone)
+
+
+def _run_trials(plan: _Plan, rngs: dict[int, np.random.Generator], cols: dict) -> None:
     """Settle each trial at each accept radius, one trial per fresh generator.
 
     ``rngs`` maps column t of ``cols`` (:func:`_columns`) to its trial's
-    generator, columns in ascending order; ``radii`` are sorted and
-    distinct, and the trial's sample at radius ``radii[j]`` is written to
-    ``cols[j, t]``.  In a target search every trial first draws its target
-    from one word (:func:`_targets`), and every target is screened at once.
-    The trials then walk the chunks together.  In each chunk every open
-    trial draws its words with ``random_raw`` (:func:`_layout`), and a
-    group of trials at a time is flipped, evaluated and accepted as arrays,
-    on the inputs left-aligned in their raw lanes: the circuits evaluate
-    there (``shift``), a target search folds each target into the constant
-    term, and only settled values are shifted back down.
+    generator, columns in ascending order; the trial's sample at the
+    plan's radius ``radii[j]`` is written to ``cols[j, t]``.  In a target
+    search every trial first draws its target from one word
+    (:func:`_targets`), and where the plan's ``screen`` is set every target
+    is screened at once.  The trials then walk the chunks together.  In
+    each chunk every open trial draws its words with ``random_raw``
+    (:func:`_layout`), and a group of trials at a time is flipped,
+    evaluated and accepted as arrays, on the inputs left-aligned in their
+    raw lanes: the circuits evaluate there (``shift``), a target search
+    folds each target into the constant term, and only settled values are
+    shifted back down.
 
     A trial's open radii are the range ``lo..hi``.  The screen raises
     ``lo`` past every radius below the target's distance to the nearest
@@ -776,22 +827,14 @@ def _run_trials(
     A trial's state lives in per-walk arrays indexed by its walk position:
     its column, generator, target, buffered half and ``lo``/``hi``; a group
     reads and writes them at its positions, and ``walking`` holds the
-    positions still open.  In a target search without flips on a bijection
-    of 14 bits or more, a trial left with radius 0 alone (``lo`` 0, ``hi`` 1)
-    leaves after its chunk and finishes its stream in :func:`_walk_alone`,
-    which looks for the preimage ``target ^ C0``.
+    positions still open.  Where the plan's ``alone`` is set, a trial left
+    with radius 0 alone (``lo`` 0, ``hi`` 1) leaves after its chunk and
+    finishes its stream in :func:`_walk_alone`, which looks for the
+    preimage ``target ^ C0``.
     """
-    width, budget = cfg.width, cfg.max_iterations
-    search = cfg.mode is ComparisonMode.TARGET_SEARCH
-    limits = _flip_limits(perturbations(cfg.faults))
+    faulty, ideal, search, radii, budget, limits = plan[:6]
+    width = faulty.width
     ks = np.array(radii, dtype=np.uint8)
-    # A bijection is x ^ C0 here: a pair with a binary gate outputs (g, g).
-    # At radius 0 it accepts one draw in 2**width, so a trial walks alone
-    # only where it expects to read at least a block of inputs (w >= 14):
-    # a narrower one is settled sooner by the group's next chunk.
-    block = _FIRST_GROUP_WORDS * 64 // _lane(width)
-    alone = (search and not len(limits) and radii[0] == 0 and 1 << width >= block
-             and faulty.covering_radius == 0)
     c0 = faulty._form[1]
     shift = _lane(width) - width
     trials, gens = np.array(list(rngs), dtype=np.intp), list(rngs.values())
@@ -805,7 +848,7 @@ def _run_trials(
         targets, half = _targets(words, width)
         if half is not None:
             halves, buffered = half, True
-        if faulty.covering_radius > radii[0]:
+        if plan.screen:
             distance, nearest = faulty.nearest(targets >> shift)
             lo = np.searchsorted(ks, distance)
             rs, js = np.nonzero(np.arange(len(radii)) < lo[:, None])
@@ -866,7 +909,7 @@ def _run_trials(
                     re, im = modulated[rs, i], reference[rs, i]
                 _settle(cols, (js, trials[at[rs]]), re >> shift, im >> shift,
                         i + drawn + 1, ok)
-            if alone:
+            if plan.alone:
                 # Trials whose only open radius is 0 finish their streams alone.
                 for p in at[hi[at] == 1].tolist():
                     t, im = int(trials[p]), int(targets[p]) >> shift
@@ -885,7 +928,6 @@ def _run_trials(
         size = min(size * _CHUNK_GROWTH, _CHUNK_MAX)
 
 
-@functools.lru_cache(maxsize=64)
 def _first_layout(width: int, n: int, flips: int, target: bool) -> tuple[int, ...]:
     """The stream indices of the words a trial's first candidate reads.
 
@@ -907,36 +949,26 @@ def _first_layout(width: int, n: int, flips: int, target: bool) -> tuple[int, ..
     return (*[0] * start, *(start + w for w in index))
 
 
-def _first_hits(
-    cfg: ExperimentConfig,
-    faulty: Circuit,
-    ideal: Circuit,
-    seeds: np.ndarray,
-    radius: int,
-    cols: dict,
-) -> np.ndarray:
-    """Settle the trials whose first candidate lies within ``radius`` of its reference.
+def _first_hits(plan: _Plan, seeds: np.ndarray, cols: dict) -> np.ndarray:
+    """Settle the trials whose first candidate lies within the plan's first radius.
 
     Row r of ``seeds`` holds the seed words (:func:`_seed_words`) of the
     trial in column r of ``cols`` (:func:`_columns`), at most a seed block
-    of them.  The words the first candidate reads (:func:`_first_layout`)
+    of them.  The words the first candidate reads, the plan's ``first``,
     are computed from them for every row at once, by stepping the streams
     together (:func:`_stream_words`).  Candidate 0 is read from them as
     the chunk loop would read it (:func:`_inputs`, after the half the
     target's word left buffered), flipped by the uniforms' columns
     (:func:`_flip_masks`) and evaluated, left-aligned in its lane, a group
     of ``_FIRST_GROUP_WORDS`` words at a time, so that the temporaries stay
-    small.  ``radius`` is the smallest of the rows' radii, so a hit settles
-    its column in every row, after one iteration, accepted.  Returns which
-    trials hit.  None hits when a candidate draws more than
-    ``_FIRST_FLIP_WORDS`` flip uniforms.
+    small.  That radius is the smallest of the rows' radii, so a hit
+    settles its column in every row, after one iteration, accepted.
+    Returns which trials hit.  None hits where ``first`` is None.
     """
-    width, search = cfg.width, cfg.mode is ComparisonMode.TARGET_SEARCH
-    limits = _flip_limits(perturbations(cfg.faults))
-    if len(limits) * width > _FIRST_FLIP_WORDS:
+    if plan.first is None:
         return np.zeros(len(seeds), dtype=bool)
-    n = min(_CHUNK_FIRST, cfg.max_iterations)
-    index = _first_layout(width, n, len(limits), search)
+    faulty, search, limits, index = plan.faulty, plan.search, plan.limits, plan.first
+    width = faulty.width
     uniforms = len(index) - len(limits) * width  # column of the first flip uniform
     shift = _lane(width) - width
     words = _stream_words(seeds, index)
@@ -950,8 +982,8 @@ def _first_hits(
         if len(limits):
             flipped = gs ^ _flip_masks(group[:, uniforms:], width, limits, shift)[:, 0]
         re = faulty.evaluate_batch(flipped, shift)
-        im = target if search else ideal.evaluate_batch(gs, shift)
-        hit = np.bitwise_count(re ^ im) <= radius
+        im = target if search else plan.ideal.evaluate_batch(gs, shift)
+        hit = np.bitwise_count(re ^ im) <= plan.radii[0]
         at = (slice(None), g + np.flatnonzero(hit))
         _settle(cols, at, re[hit] >> shift, im[hit] >> shift, 1, True)
         hits.append(hit)
@@ -982,7 +1014,7 @@ def run_trial(
     """
     cols = _columns(1, 1)
     radius = max_acceptable_distance(cfg.width, cfg.epsilon)
-    _run_trials(cfg, faulty, ideal, {0: rng}, [radius], cols)
+    _run_trials(_plan(cfg, faulty, ideal, [radius]), {0: rng}, cols)
     return _level(cols, 0, cfg.epsilon, cfg.resolved_label())[0]
 
 
@@ -991,18 +1023,19 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
 
     Entry i equals ``run_experiment(replace(cfg, epsilon=epsilons[i]))``;
     ``cfg.epsilon`` itself is not used.  Every level is validated before
-    the first draw.  Trials settle into the run's columns
+    the first draw, and the run's plan (:func:`_plan`) is made once, before
+    the first pass.  Trials settle into the run's columns
     (:func:`_columns`), one row per distinct accept radius, in passes of
-    one aligned seed block of 8192 trials (:data:`_SEED_BLOCK`).  A pass
-    first settles, from the block's seed words, every trial whose first
-    candidate lies within the smallest radius, at every radius: its 8192
-    streams step together through the words that candidate reads
-    (:func:`_first_hits`).  It then builds a generator for each trial left
-    open and walks its stream once, from its first word, in the chunk loop
-    of :func:`_run_trials`, for every radius at once; in a target search
-    without flips on a bijection of 14 bits or more, a trial left with
-    radius 0 alone finishes its stream by itself, comparing raw inputs with
-    the target's preimage (:func:`_walk_alone`).  Raw words are drawn and
+    one aligned seed block of 8192 trials (:data:`_SEED_BLOCK`).  Where the
+    plan's ``first`` is set, a pass first settles, from the block's seed
+    words, every trial whose first candidate lies within the smallest
+    radius, at every radius: its 8192 streams step together through the
+    words that candidate reads (:func:`_first_hits`).  It then builds a
+    generator for each trial left open and walks its stream once, from its
+    first word, in the chunk loop of :func:`_run_trials`, for every radius
+    at once; where the plan's ``alone`` is set, a trial left with radius 0
+    alone finishes its stream by itself, comparing raw inputs with the
+    target's preimage (:func:`_walk_alone`).  Raw words are drawn and
     dropped a group or a block at a time, so a pass keeps only each open
     trial's generator, target, buffered half and open radii, in per-walk
     arrays.  Each level is its radius's row of the columns with its own
@@ -1014,17 +1047,17 @@ def run_levels(cfg: ExperimentConfig, epsilons: Sequence[float]) -> list[Samples
         replace(cfg, epsilon=eps).validate()
     ks = [max_acceptable_distance(cfg.width, eps) for eps in epsilons]
     radii = sorted(set(ks))
-    ideal = cfg.circuit
-    faulty = inject_all(cfg.circuit, cfg.faults)
+    if not radii:
+        return []
+    plan = _plan(cfg, inject_all(cfg.circuit, cfg.faults), cfg.circuit, radii)
     cols = _columns(len(radii), cfg.trials)
-    for start in range(0, cfg.trials if radii else 0, _SEED_BLOCK):
+    for start in range(0, cfg.trials, _SEED_BLOCK):
         seeds = _seed_words(cfg.seed, start // _SEED_BLOCK)[: cfg.trials - start]
         block = {name: c[:, start : start + len(seeds)] for name, c in cols.items()}
-        hit = _first_hits(cfg, faulty, ideal, seeds, radii[0], block)
+        hit = _first_hits(plan, seeds, block)
         # A pass's generators are dropped before the next pass builds its own.
-        _run_trials(cfg, faulty, ideal, {
-            r: trial_rng(cfg.seed, start + r) for r in np.flatnonzero(~hit).tolist()
-        }, radii, block)
+        _run_trials(plan, {r: trial_rng(cfg.seed, start + r)
+                           for r in np.flatnonzero(~hit).tolist()}, block)
     label = cfg.resolved_label()
     return [_level(cols, radii.index(k), eps, label) for eps, k in zip(epsilons, ks)]
 

@@ -85,11 +85,23 @@ def test_csv_deterministic_and_roundtrip(tmp_path):
     (["0,-3,10,24,3,true,swap"], "epsilon out of range"),
     (["0,1.5,10,24,3,true,swap"], "epsilon out of range"),
     (["0,inf,10,24,3,true,swap"], "epsilon out of range"),
+    (["x,0.1,2,4,1,true,x"], "trial must be 0"),
+    (["1,0.1,10,24,3,true,swap"], "trial must be 0"),
+    (["00,0.1,10,24,3,true,swap"], "trial must be 0"),
+    (["0,0.1,10,24,3,true,swap", "0,0.1,10,24,3,true,swap"], "trial must be 1"),
+    (["0,0.1,10,24,3,true,swap", "2,0.1,10,24,3,true,swap"], "trial must be 1"),
 ])
 def test_csv_read_rejects_mixed_levels_and_points_out_of_range(tmp_path, rows, match):
     path = tmp_path / "s.csv"
     path.write_text("\n".join(["trial,epsilon,re,im,iterations,accepted,label", *rows, ""]))
     with pytest.raises(ValueError, match=match):
+        read_samples_csv(path)
+
+
+def test_csv_read_rejects_an_empty_file(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="header"):
         read_samples_csv(path)
 
 

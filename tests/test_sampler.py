@@ -643,6 +643,87 @@ def test_only_radius_0_target_searches_on_bijections_walk_alone(monkeypatch):
                 sampler.run_levels(cfg, levels)
 
 
+_S, _C = ComparisonMode.TARGET_SEARCH, ComparisonMode.FAULT_COMPARE
+
+
+# (width, mode, flip faults, lossy, radius) and the plan's (first is None,
+# screen, alone), written out: a changed rule changes its rows here.  The
+# lossy circuit is AND pairs then NOT, covering radius width // 2; the
+# bijection is :func:`_bijective_faults`' first, covering radius 0.
+@pytest.mark.parametrize("case, decisions", [
+    ((13, _S, 0, False, 0), (False, False, False)),  # narrower than a lone block
+    ((14, _S, 0, False, 0), (False, False, True)),
+    ((14, _S, 0, False, 1), (False, False, False)),  # radius above 0
+    ((14, _S, 1, False, 0), (False, False, False)),  # a flip fault
+    ((14, _C, 0, False, 0), (False, False, False)),  # fault-compare
+    ((14, _S, 0, True, 0), (False, True, False)),  # covering radius 7
+    ((14, _S, 0, True, 7), (False, False, False)),  # every target within 7
+    ((14, _C, 0, True, 0), (False, False, False)),
+    ((13, _C, 2, True, 1), (False, False, False)),  # 26 flip uniforms
+    ((14, _S, 2, True, 1), (False, True, False)),  # 28 flip uniforms
+    ((32, _S, 1, False, 0), (False, False, False)),  # 32 flip uniforms
+    ((32, _C, 2, True, 0), (True, False, False)),  # 64 flip uniforms
+    ((32, _S, 0, False, 0), (False, False, True)),
+    ((33, _S, 1, True, 0), (True, True, False)),  # 33 flip uniforms
+    ((33, _S, 0, False, 0), (False, False, True)),
+    ((33, _C, 1, False, 1), (True, False, False)),
+    ((64, _S, 0, False, 0), (False, False, True)),
+    ((64, _S, 0, True, 32), (False, False, False)),  # covering radius 32
+    ((64, _C, 1, True, 1), (True, False, False)),
+    ((64, _S, 2, False, 0), (True, False, False)),
+])
+def test_the_plan_decides_the_first_candidate_pass_the_screen_and_the_lone_walk(
+    case, decisions
+):
+    width, mode, flips, lossy, radius = case
+    circuit = _circuit(width, _AND if lossy else ())
+    faults = (() if lossy else _bijective_faults(width)[0]) + (
+        InputPerturbation(0.05), InputPerturbation(0.3))[:flips]
+    faulty = inject_all(circuit, faults)
+    for budget in (5, 1_000_000):
+        cfg = _config(circuit=circuit, faults=faults, mode=mode, max_iterations=budget)
+        plan = sampler._plan(cfg, faulty, circuit, [radius])
+        assert (plan.first is None, plan.screen, plan.alone) == decisions, budget
+        assert (plan.faulty, plan.ideal, plan.radii, plan.budget) == (
+            faulty, circuit, [radius], budget)
+        assert plan.search == (mode is _S) and len(plan.limits) == flips
+        if plan.first is not None:
+            n = min(sampler._CHUNK_FIRST, budget)
+            assert plan.first == sampler._first_layout(width, n, flips, mode is _S)
+
+
+def test_a_run_makes_its_plan_once_and_every_pass_reads_it(monkeypatch):
+    # 2 * _SEED_BLOCK + 1 trials run three passes, and each pass's
+    # first-candidate pass and chunk walk take the one plan of the run.
+    andnot8 = Circuit(8, [pair_layer(GateKind.AND, 8), unary_layer(GateKind.NOT, 8)])
+    cfg = _config(circuit=andnot8, faults=(ReversedPolarity(1, 1),),
+                  trials=2 * sampler._SEED_BLOCK + 1, max_iterations=40)
+    levels = (0.25, 0.5)
+    for mode in ComparisonMode:
+        cfg.mode = mode
+        expected = sampler.run_levels(cfg, levels)
+        plans, passes = [], []
+
+        def spy(name):
+            real = getattr(sampler, name)
+
+            def wrapper(*args):
+                if name == "_plan":
+                    plans.append(real(*args))
+                    return plans[-1]
+                passes.append((name, args[0]))
+                return real(*args)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            for name in ("_plan", "_first_hits", "_run_trials"):
+                m.setattr(sampler, name, spy(name))
+            assert sampler.run_levels(cfg, levels) == expected
+        assert len(plans) == 1, mode
+        assert [name for name, _ in passes] == ["_first_hits", "_run_trials"] * 3
+        assert all(plan is plans[0] for _, plan in passes), mode
+
+
 @pytest.mark.parametrize(
     "trials, budget", [(300, 100), (2, 20_000), (1100, 8), (3, 1_100_000)]
 )
